@@ -225,6 +225,7 @@ void shared_vs_rebuilt(biq::bench::BenchJson& json, std::size_t repeats) {
 }  // namespace
 
 int main(int argc, char** argv) {
+  biq::bench::check_args(argc, argv);
   const std::size_t repeats = biq::bench::parse_repeats(argc, argv);
   biq::bench::BenchJson json(argc, argv, "ablation_lut_build");
   biq::bench::print_header(

@@ -94,6 +94,7 @@ void engine_thread_sweep(biq::bench::BenchJson& json) {
 }  // namespace
 
 int main(int argc, char** argv) {
+  biq::bench::check_args(argc, argv);
   biq::bench::print_header(
       "ablation_tile_threads — LUT tile size and engine x threads scaling",
       "paper Sec. III-B tiling (Fig. 7) and Sec. III-C / IV-D threading "

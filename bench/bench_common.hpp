@@ -160,22 +160,58 @@ std::pair<double, double> interleaved_ab_seconds(FnA&& a, FnB&& b,
   return {summarize(sa).median, summarize(sb).median};
 }
 
-/// The idx-th (1-based) positional argument as a number, skipping
-/// --json, --repeats <N>, --engines <list> and --threads <N> wherever
-/// they appear — so flag order never shifts a bench's size arguments.
-inline std::size_t positional_or(int argc, char** argv, int idx,
-                                 std::size_t fallback) {
-  int seen = 0;
+/// Prints the shared usage line to stderr and exits with status 2.
+[[noreturn]] inline void usage_exit(const char* prog, std::string_view bad) {
+  std::fprintf(stderr,
+               "%s: bad argument '%.*s'\n"
+               "usage: %s [SIZE ...] [--json] [--repeats N] "
+               "[--engines a,b,c] [--threads N]\n"
+               "  SIZE arguments are unsigned integers; see the bench's "
+               "source header for their meaning and defaults.\n",
+               prog, static_cast<int>(bad.size()), bad.data(), prog);
+  std::exit(2);
+}
+
+/// True when `s` is a non-empty run of decimal digits.
+inline bool is_unsigned(std::string_view s) {
+  if (s.empty()) return false;
+  for (const char c : s) {
+    if (c < '0' || c > '9') return false;
+  }
+  return true;
+}
+
+/// The positional size arguments, in order, skipping --json,
+/// --repeats <N>, --engines <list> and --threads <N> wherever they
+/// appear — so flag order never shifts a bench's sizes. Any other
+/// argument (--help, a typo, a size that is not an unsigned integer, a
+/// flag missing its value) goes to usage_exit instead of running a bench
+/// with sizes silently read as 0; benches without size arguments call
+/// this first thing in main just for that check.
+inline std::vector<std::size_t> check_args(int argc, char** argv) {
+  std::vector<std::size_t> sizes;
   for (int i = 1; i < argc; ++i) {
     const std::string_view a(argv[i]);
     if (a == "--json") continue;
     if (a == "--repeats" || a == "--engines" || a == "--threads") {
-      ++i;  // skip the flag's value too
+      if (i + 1 == argc) usage_exit(argv[0], a);
+      const std::string_view value(argv[++i]);  // skip the flag's value too
+      if (a != "--engines" && !is_unsigned(value)) usage_exit(argv[0], value);
       continue;
     }
-    if (++seen == idx) return std::strtoul(argv[i], nullptr, 10);
+    if (!is_unsigned(a)) usage_exit(argv[0], a);
+    sizes.push_back(std::strtoul(argv[i], nullptr, 10));
   }
-  return fallback;
+  return sizes;
+}
+
+/// The idx-th (1-based) positional size of check_args, or `fallback`
+/// when there are fewer.
+inline std::size_t positional_or(int argc, char** argv, int idx,
+                                 std::size_t fallback) {
+  const std::vector<std::size_t> sizes = check_args(argc, argv);
+  const auto i = static_cast<std::size_t>(idx);
+  return i >= 1 && i <= sizes.size() ? sizes[i - 1] : fallback;
 }
 
 inline std::string us(double seconds, int precision = 1) {

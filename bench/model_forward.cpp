@@ -1,15 +1,12 @@
 // Whole-model planned execution: eager layer-by-layer forward (heap-
 // allocated temporaries, per-layer plan caches) vs ModelPlan (all GEMM
-// plans frozen up front, activations liveness-packed into one arena,
+// plans frozen up front, bias/activation/residual/LayerNorm folded into
+// the GEMM epilogues, activations liveness-packed into one arena,
 // zero-allocation warm runs) for a Transformer encoder, a BiLSTM, a
 // 4-deep stacked BiLSTM pyramid and an encoder+BiLSTM+head hybrid —
 // the last two composed with nn::Sequential and compiled through the
-// same generic module walker as the single models. Each model is
-// planned with and without epilogue fusion, so the fused-vs-unfused
-// gap is its own reported dimension; models with residual→LayerNorm
-// seams (encoder, hybrid) add an ln_fused=on|off arm isolating the
-// column-granular LN stage. Run with --json to emit
-// BENCH_model_forward.json for the perf trajectory.
+// same generic module walker as the single models. Run with --json to
+// emit BENCH_model_forward.json for the perf trajectory.
 //
 //   $ ./model_forward [tokens] [layers] [hidden] [--json] [--repeats N]
 //                     [--threads N]
@@ -17,6 +14,7 @@
 #include <cstdlib>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "bench_common.hpp"
@@ -75,110 +73,38 @@ biq::nn::Sequential make_hybrid(const biq::nn::TransformerConfig& cfg,
   return hybrid;
 }
 
-/// Times one model — eager, planned fused (share_prep on, the default),
-/// planned unfused, planned fused with share_prep off, and (for models
-/// with LayerNorm seams, `ln_arm`) planned fused with fuse_ln off — and
-/// emits one table row plus one JSON record per plan variant, identical
-/// schema, distinguished by the "fused", "share_prep" and "ln_fused"
-/// fields. `shape_fields` carries the model name and size parameters.
+/// Times one model — eager vs its one planned program, interleaved rep
+/// by rep so both sides see the same drift — and emits one table row
+/// plus one JSON record. `shape_fields` carries the model name and size
+/// parameters.
 void bench_one(biq::bench::BenchJson& json, biq::TablePrinter& table,
                const char* name, const char* weights,
                const biq::nn::PlannableModule& model, biq::ExecContext& ctx,
                const biq::Matrix& input, std::size_t repeats, unsigned threads,
-               std::vector<biq::bench::JsonField> shape_fields,
-               bool ln_arm = false) {
+               std::vector<biq::bench::JsonField> shape_fields) {
   const std::size_t tokens = input.cols();
   biq::Matrix out(model.out_shape({input.rows(), tokens}).rows, tokens);
 
-  const double eager =
-      biq::bench::bench_seconds([&] { model.forward(input, out); }, repeats);
-
-  // Both A/B gaps (fused vs unfused, shared vs rebuilt prep) are a few
-  // percent — smaller than the slow drift of back-to-back timed blocks —
-  // so each pair of plans runs interleaved, rep by rep, and each side
-  // reports its own median.
-  const biq::nn::ModelPlan fused(model, tokens, ctx, /*fuse=*/true);
-  const biq::nn::ModelPlan unfused(model, tokens, ctx, /*fuse=*/false);
-  const biq::nn::ModelPlan noshare(model, tokens, ctx, /*fuse=*/true,
-                                   /*share_prep=*/false);
-  fused.run(input, out);  // warm the arenas before timing
-  unfused.run(input, out);
-  noshare.run(input, out);
-  const auto [planned_fused, planned_unfused] =
-      biq::bench::interleaved_ab_seconds([&] { fused.run(input, out); },
-                                         [&] { unfused.run(input, out); },
-                                         repeats);
-  const auto [planned_shared, planned_noshare] =
-      biq::bench::interleaved_ab_seconds([&] { fused.run(input, out); },
-                                         [&] { noshare.run(input, out); },
+  const biq::nn::ModelPlan plan(model, tokens, ctx);
+  model.forward(input, out);  // warm the layers' plan caches and arenas
+  plan.run(input, out);
+  const auto [eager, planned] =
+      biq::bench::interleaved_ab_seconds([&] { model.forward(input, out); },
+                                         [&] { plan.run(input, out); },
                                          repeats);
 
-  // The LN arm (models with residual→LayerNorm seams only): fused with
-  // the column-granular LN stage (the default) vs fused with LN as its
-  // own seam pass, interleaved like the other A/Bs.
-  std::unique_ptr<biq::nn::ModelPlan> lnoff;
-  double planned_lnon = 0.0, planned_lnoff = 0.0;
-  if (ln_arm) {
-    lnoff = std::make_unique<biq::nn::ModelPlan>(
-        model, tokens, ctx, /*fuse=*/true, /*share_prep=*/true,
-        /*fuse_ln=*/false);
-    lnoff->run(input, out);
-    const auto [lnon_s, lnoff_s] =
-        biq::bench::interleaved_ab_seconds([&] { fused.run(input, out); },
-                                           [&] { lnoff->run(input, out); },
-                                           repeats);
-    planned_lnon = lnon_s;
-    planned_lnoff = lnoff_s;
-  }
+  table.add_row({name, weights, biq::bench::ms(eager), biq::bench::ms(planned),
+                 biq::TablePrinter::fmt(eager / planned, 2) + "x",
+                 arena_cell(plan)});
 
-  table.add_row({name, weights, biq::bench::ms(eager),
-                 biq::bench::ms(planned_fused), biq::bench::ms(planned_unfused),
-                 biq::bench::ms(planned_noshare),
-                 ln_arm ? biq::bench::ms(planned_lnoff) : std::string("-"),
-                 biq::TablePrinter::fmt(eager / planned_fused, 2) + "x",
-                 arena_cell(fused)});
-
-  struct Variant {
-    const char* fused;
-    const char* share;
-    const char* ln;
-    double planned;
-    const biq::nn::ModelPlan* plan;
-  };
-  // The share on/off pair comes from ITS interleave (planned_shared,
-  // not planned_fused), so the two sides saw identical drift — and the
-  // same holds for the LN on/off pair.
-  std::vector<Variant> variants = {
-      Variant{"on", "on", "on", planned_fused, &fused},
-      Variant{"off", "on", "off", planned_unfused, &unfused},
-      Variant{"on", "off", "on", planned_noshare, &noshare}};
-  if (ln_arm) {
-    variants.push_back(Variant{"on", "on", "off", planned_lnoff, lnoff.get()});
-  }
-  for (const Variant& v : variants) {
-    std::vector<biq::bench::JsonField> rec = shape_fields;
-    rec.push_back(biq::bench::jstr("weights", weights));
-    rec.push_back(biq::bench::jstr("fused", v.fused));
-    rec.push_back(biq::bench::jstr("share_prep", v.share));
-    rec.push_back(biq::bench::jstr("ln_fused", v.ln));
-    rec.push_back(biq::bench::jnum("eager_ms", eager * 1e3));
-    rec.push_back(biq::bench::jnum("planned_ms", v.planned * 1e3));
-    if (v.plan == &noshare) {
-      // The shared side of the same interleave, for a drift-free ratio.
-      rec.push_back(biq::bench::jnum("shared_ms", planned_shared * 1e3));
-    }
-    if (ln_arm && v.plan == lnoff.get()) {
-      // The LN-fused side of the same interleave, likewise drift-free.
-      rec.push_back(biq::bench::jnum("ln_fused_ms", planned_lnon * 1e3));
-    }
-    rec.push_back(biq::bench::jint(
-        "arena_bytes", static_cast<long long>(v.plan->arena_bytes())));
-    rec.push_back(biq::bench::jint("threads", threads));
-    if (threads <= 1) {
-      rec.push_back(biq::bench::jstr("caveat", "single-core container"));
-    }
-    json.record(rec);
-  }
+  std::vector<biq::bench::JsonField> rec = std::move(shape_fields);
+  rec.push_back(biq::bench::jstr("weights", weights));
+  rec.push_back(biq::bench::jnum("eager_ms", eager * 1e3));
+  rec.push_back(biq::bench::jnum("planned_ms", planned * 1e3));
+  rec.push_back(biq::bench::jint(
+      "arena_bytes", static_cast<long long>(plan.arena_bytes())));
+  rec.push_back(biq::bench::jint("threads", threads));
+  json.record(rec);
 }
 
 }  // namespace
@@ -213,9 +139,8 @@ int main(int argc, char** argv) {
       threads > 1 ? std::make_unique<biq::ThreadPool>(threads) : nullptr;
   if (threads > 1) std::printf("threads: %u\n\n", threads);
 
-  biq::TablePrinter table({"model", "weights", "eager ms", "fused ms",
-                           "unfused ms", "share-off ms", "ln-off ms",
-                           "fused speedup", "arena KB (packed/unpacked)"});
+  biq::TablePrinter table({"model", "weights", "eager ms", "planned ms",
+                           "planned speedup", "arena KB (packed/unpacked)"});
   constexpr std::uint64_t kSeed = 2020;
   biq::Rng rng(7);
 
@@ -234,8 +159,7 @@ int main(int argc, char** argv) {
                 {biq::bench::jstr("model", "encoder"),
                  biq::bench::jint("tokens", static_cast<long long>(tokens)),
                  biq::bench::jint("layers", layers),
-                 biq::bench::jint("hidden", static_cast<long long>(hidden))},
-                /*ln_arm=*/true);
+                 biq::bench::jint("hidden", static_cast<long long>(hidden))});
     }
 
     {
@@ -277,8 +201,7 @@ int main(int argc, char** argv) {
                 {biq::bench::jstr("model", "encoder_bilstm_hybrid"),
                  biq::bench::jint("tokens", static_cast<long long>(tokens)),
                  biq::bench::jint("layers", layers),
-                 biq::bench::jint("hidden", static_cast<long long>(hidden))},
-                /*ln_arm=*/true);
+                 biq::bench::jint("hidden", static_cast<long long>(hidden))});
     }
   }
 
@@ -286,16 +209,9 @@ int main(int argc, char** argv) {
   std::printf("Eager re-allocates every intermediate activation per call and\n"
               "plans per layer; ModelPlan froze all of that at compile time,\n"
               "so the gap is widest where per-call overhead rivals the math\n"
-              "(small models, GEMV-heavy LSTM steps). \"fused\" folds bias,\n"
-              "activation and residual adds into the GEMM epilogues;\n"
-              "\"unfused\" runs the same plans with separate seam passes.\n"
-              "\"share-off\" rebuilds each input's LUT/quantization per\n"
-              "consumer where the default builds it once per fan-out seat\n"
-              "(QKV, BiLSTM dual scans) — fp32 rows have no prep to share.\n"
-              "\"ln-off\" keeps LayerNorm as its own seam pass where the\n"
-              "default folds it into the producer GEMM's column-granular\n"
-              "epilogue (encoder and hybrid rows only — the BiLSTMs have\n"
-              "no LN seams).\n"
-              "Timings are single-core (container) — see the JSON caveat.\n");
+              "(small models, GEMV-heavy LSTM steps).\n"
+              "Timings: %u worker thread(s) (--threads N) on a host with %u\n"
+              "hardware threads.\n",
+              threads, std::thread::hardware_concurrency());
   return 0;
 }

@@ -1,7 +1,7 @@
 // Table I — quantization quality of Transformers: uniform 8/6/4-bit vs
 // binary-coding 1..4-bit.
 //
-// SUBSTITUTION (documented in DESIGN.md): the paper reports BLEU after
+// SUBSTITUTION: the paper reports BLEU after
 // retraining an en-de NMT Transformer on WMT13 — days of GPU training on
 // data not available offline. We measure what the quantizers control
 // directly: (a) weight-reconstruction SQNR on Transformer-shaped
@@ -104,7 +104,7 @@ int main() {
   biq::bench::print_header(
       "table1_quant_quality — quantization quality comparison",
       "paper Table I (BLEU substituted by SQNR + output deviation; see "
-      "DESIGN.md substitution note)");
+      "the substitution note in this bench's source header)");
   weight_reconstruction_study();
   end_to_end_study();
   return 0;

@@ -1,7 +1,7 @@
 // Table IV — kernel-vs-kernel runtimes on square 1-bit-quantized weight
 // matrices, n in {512, 1K, 2K, 4K}, batch in {1, 32, 128, 256}.
 //
-// SUBSTITUTION (documented in DESIGN.md): the paper's Table IV runs on a
+// SUBSTITUTION: the paper's Table IV runs on a
 // V100 against kGpu / cuBLAS / xnor. No GPU here, so each baseline is
 // replaced by its CPU role-equivalent:
 //   kGpu  (unoptimized reference kernel) -> "naive" registry engine
@@ -35,6 +35,7 @@
 #include "util/table_printer.hpp"
 
 int main(int argc, char** argv) {
+  biq::bench::check_args(argc, argv);
   biq::bench::print_header(
       "table4_kernel_comparison — BiQGEMM vs baseline kernels (1-bit)",
       "paper Table IV on CPU stand-ins: naive=kGpu, blocked=cublas, "

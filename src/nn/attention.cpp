@@ -5,7 +5,6 @@
 
 #include "nn/activations.hpp"
 #include "nn/layernorm.hpp"
-#include "nn/tensor.hpp"
 
 namespace biq::nn {
 namespace {
@@ -18,32 +17,14 @@ class AttentionStep final : public ModuleStep {
  public:
   AttentionStep(const MultiHeadAttention& attn, ModulePlanContext& mpc,
                 const StepFusion& fusion)
-      : attn_(&attn), fuse_(mpc.fuse()),
-        input_residual_(fusion.input_residual) {
+      : attn_(&attn), input_residual_(fusion.input_residual) {
     const std::size_t tokens = mpc.batch();
     sq_ = mpc.acquire(attn.hidden(), tokens);
     sk_ = mpc.acquire(attn.hidden(), tokens);
     sv_ = mpc.acquire(attn.hidden(), tokens);
-    // fuse=off plans every projection as a bare GEMM — the biases run as
-    // separate seam passes in run_step, so the A/B isolates the whole
-    // epilogue mechanism, bias included.
-    const LinearFusion plain{EpilogueAct::kNone, false, nullptr, fuse_};
-    q_ = LinearPlan(attn.wq(), tokens, mpc.exec(), plain);
-    k_ = LinearPlan(attn.wk(), tokens, mpc.exec(), plain);
-    v_ = LinearPlan(attn.wv(), tokens, mpc.exec(), plain);
-    // Shared QKV activation prep: the three projections read the SAME
-    // x, so when they freeze identical activation artifacts (equal prep
-    // keys — same engine family, mu/bits, kernel plane), x's LUT /
-    // quantization is built once and consumed three times. The prep
-    // slot is acquired here and released BEFORE the score/context
-    // slots: its last reader is v_'s consume, which precedes every
-    // score write, so the planner may back the score matrix with the
-    // prep's storage.
-    share_ = mpc.share_prep() && shareable_prep({&q_, &k_, &v_});
-    if (share_) {
-      sprep_ = mpc.acquire(q_.prep_floats(), 1);
-      mpc.release(sprep_);
-    }
+    q_ = LinearPlan(attn.wq(), tokens, mpc.exec());
+    k_ = LinearPlan(attn.wk(), tokens, mpc.exec());
+    v_ = LinearPlan(attn.wv(), tokens, mpc.exec());
     sscores_ = mpc.acquire(tokens, tokens);
     scontext_ = mpc.acquire(attn.hidden(), tokens);
     // The requested fusion rides the output projection's epilogue: the
@@ -52,7 +33,7 @@ class AttentionStep final : public ModuleStep {
     // GEMM completes them.
     o_ = LinearPlan(attn.wo(), tokens, mpc.exec(),
                     LinearFusion{fusion.act, fusion.input_residual, nullptr,
-                                 fuse_, fusion.ln});
+                                 fusion.ln});
     for (const ModelSlot* s : {&sscores_, &sq_, &sk_, &sv_, &scontext_}) {
       mpc.release(*s);
     }
@@ -62,46 +43,23 @@ class AttentionStep final : public ModuleStep {
     const MatrixView q = sq_.view(base);
     const MatrixView k = sk_.view(base);
     const MatrixView v = sv_.view(base);
-    if (share_) {
-      xprep_.bind(base + sprep_.offset(), sprep_.extent());
-      q_.prepare(x, xprep_);
-      q_.run(xprep_, q);
-      k_.run(xprep_, k);
-      v_.run(xprep_, v);
-    } else {
-      q_.run(x, q);
-      k_.run(x, k);
-      v_.run(x, v);
-    }
-    if (!fuse_) {
-      seam_bias(q, attn_->wq());
-      seam_bias(k, attn_->wk());
-      seam_bias(v, attn_->wv());
-    }
+    q_.run(x, q);
+    k_.run(x, k);
+    v_.run(x, v);
     const MatrixView context = scontext_.view(base);
     attn_->attend(q, k, v, sscores_.view(base), context);
     if (input_residual_) {
       o_.run(context, y, x);  // y = wo(context) + bias + x, one pass
     } else {
       o_.run(context, y);
-      if (!fuse_) seam_bias(y, attn_->wo());
     }
   }
 
  private:
-  static void seam_bias(MatrixView y, const LinearLayer& layer) {
-    if (!layer.bias().empty()) add_bias(y, layer.bias());
-  }
-
   const MultiHeadAttention* attn_;
-  bool fuse_;
   bool input_residual_;
-  bool share_ = false;
   LinearPlan q_, k_, v_, o_;
-  ModelSlot sq_, sk_, sv_, sprep_, sscores_, scontext_;
-  // Rebound to sprep_'s arena window each run_step (one caller at a
-  // time owns a running plan, so the mutable handle is private state).
-  mutable PrepHandle xprep_;
+  ModelSlot sq_, sk_, sv_, sscores_, scontext_;
 };
 
 }  // namespace

@@ -4,7 +4,6 @@
 #include <utility>
 
 #include "nn/layernorm.hpp"
-#include "nn/tensor.hpp"
 #include "quant/quantize.hpp"
 
 namespace biq::nn {
@@ -64,13 +63,9 @@ class LinearStep final : public ModuleStep {
  public:
   LinearStep(const LinearLayer& layer, ModulePlanContext& mpc,
              const StepFusion& fusion)
-      : layer_(&layer), fuse_(mpc.fuse()),
-        // fuse=off plans a bare GEMM; the bias runs as a separate seam
-        // pass in run_step (peephole act/residual folds only exist when
-        // the context fuses, so they are already off).
-        plan_(layer, mpc.batch(), mpc.exec(),
+      : plan_(layer, mpc.batch(), mpc.exec(),
               LinearFusion{fusion.act, fusion.input_residual, nullptr,
-                           mpc.fuse(), fusion.ln}),
+                           fusion.ln}),
         input_residual_(fusion.input_residual) {}
 
   void run_step(float* /*base*/, ConstMatrixView x,
@@ -79,13 +74,10 @@ class LinearStep final : public ModuleStep {
       plan_.run(x, y, x);
     } else {
       plan_.run(x, y);
-      if (!fuse_ && !layer_->bias().empty()) add_bias(y, layer_->bias());
     }
   }
 
  private:
-  const LinearLayer* layer_;
-  bool fuse_;
   LinearPlan plan_;
   bool input_residual_;
 };
@@ -123,7 +115,7 @@ LinearPlan::LinearPlan(const LinearLayer& layer, std::size_t batch,
   const std::vector<float>& bias =
       fusion.bias != nullptr ? *fusion.bias : layer.bias();
   Epilogue ep;
-  ep.bias = fusion.fold_bias && !bias.empty() ? bias.data() : nullptr;
+  ep.bias = bias.empty() ? nullptr : bias.data();
   ep.act = fusion.act;
   ep.residual = fusion.residual;
   if (fusion.ln != nullptr) {
@@ -148,17 +140,6 @@ void LinearPlan::run(ConstMatrixView x, MatrixView y,
 void LinearPlan::run(ConstMatrixView x, MatrixView y, ConstMatrixView residual,
                      MatrixView ln_out) const {
   plan_->run(x, y, residual, ln_out);
-}
-
-bool shareable_prep(std::initializer_list<const LinearPlan*> plans) {
-  if (plans.size() < 2) return false;
-  auto it = plans.begin();
-  if (!(*it)->has_prep()) return false;
-  const PrepKey key = (*it)->prep_key();
-  for (++it; it != plans.end(); ++it) {
-    if (!(*it)->has_prep() || (*it)->prep_key() != key) return false;
-  }
-  return true;
 }
 
 Linear::Linear(const Matrix& w, std::vector<float> bias, ExecContext* ctx)

@@ -21,7 +21,6 @@
 // a window of a larger buffer with zero copies.
 #pragma once
 
-#include <initializer_list>
 #include <memory>
 #include <string_view>
 #include <vector>
@@ -132,15 +131,11 @@ class LinearLayer : public PlannableModule {
 /// layer's own bias: a trailing activation, a run-time residual operand,
 /// and optionally a bias OVERRIDE (`bias` non-null replaces the layer's
 /// own — how an LSTM cell's gate bias rides its bias-less recurrent
-/// projection). The override must outlive the plan. `fold_bias = false`
-/// plans a bare GEMM with an empty epilogue — the fuse=off arm of the
-/// fusion A/B, where the caller applies bias (and any activation or
-/// residual) as separate seam passes over y instead.
+/// projection). The override must outlive the plan.
 struct LinearFusion {
   EpilogueAct act = EpilogueAct::kNone;
   bool residual = false;
   const std::vector<float>* bias = nullptr;
-  bool fold_bias = true;
   /// Trailing LayerNorm folded over the plan's output columns (borrowed;
   /// must outlive the plan; nullptr = none). With ln_split_dst the
   /// plan's y becomes a pre-norm staging block and runs take a separate
@@ -180,33 +175,6 @@ class LinearPlan {
   void run(ConstMatrixView x, MatrixView y, ConstMatrixView residual,
            MatrixView ln_out) const;
 
-  /// Shared-activation-prep passthrough (the GemmPlan prepare/consume
-  /// contract, see engine/gemm_engine.hpp): when several LinearPlans
-  /// report equal prep_key()s, one prepare(x, handle) feeds every
-  /// run(handle, y) — how an attention step builds the QKV input's
-  /// LUT/quantization once for all three projections.
-  [[nodiscard]] bool has_prep() const noexcept {
-    return plan_ != nullptr && plan_->has_prep();
-  }
-  [[nodiscard]] PrepKey prep_key() const noexcept {
-    return plan_ != nullptr ? plan_->prep_key() : PrepKey{};
-  }
-  [[nodiscard]] std::size_t prep_floats() const noexcept {
-    return plan_ != nullptr ? plan_->prep_floats() : 0;
-  }
-  void prepare(ConstMatrixView x, PrepHandle& prep) const {
-    plan_->prepare(x, prep);
-  }
-  void run(const PrepHandle& prep, MatrixView y) const { plan_->run(prep, y); }
-  void run(const PrepHandle& prep, MatrixView y,
-           ConstMatrixView residual) const {
-    plan_->run(prep, y, residual);
-  }
-  void run(const PrepHandle& prep, MatrixView y, ConstMatrixView residual,
-           MatrixView ln_out) const {
-    plan_->run(prep, y, residual, ln_out);
-  }
-
   [[nodiscard]] std::size_t batch() const noexcept {
     return plan_ != nullptr ? plan_->batch() : 0;
   }
@@ -214,13 +182,6 @@ class LinearPlan {
  private:
   std::unique_ptr<GemmPlan> plan_;
 };
-
-/// True when every listed plan carries an activation artifact AND all
-/// their prep_key()s compare equal — i.e. one prepare() can feed every
-/// plan in the list. False for fewer than two plans (nothing to share)
-/// and whenever any plan is prep-less (the dense engines).
-[[nodiscard]] bool shareable_prep(
-    std::initializer_list<const LinearPlan*> plans);
 
 /// fp32 layer; kernel = registry "blocked" (pre-packed blocked GEMM).
 class Linear final : public LinearLayer {

@@ -40,7 +40,7 @@ void LstmCell::step(const float* x_t, float* h, float* c) const {
 
 void LstmCell::combine_preactivations(const float* px,
                                       float* ph) const noexcept {
-  // (ph + bias) + px, NOT px + ph + bias: the fused scan's recurrent
+  // (ph + bias) + px, NOT px + ph + bias: the planned scan's recurrent
   // GEMV epilogue adds the bias first and the px residual second.
   for (std::size_t j = 0; j < 4 * hidden_; ++j) {
     ph[j] = (ph[j] + bias_[j]) + px[j];
@@ -62,23 +62,18 @@ void LstmCell::apply_gates(const float* pre, float* h,
 LstmCell::ScanPlan LstmCell::plan_scan(ModulePlanContext& mpc) const {
   ScanPlan p;
   p.cell_ = this;
-  p.fused_ = mpc.fuse();
   p.sgx_ = mpc.acquire(4 * hidden_, 1);
   p.sgh_ = mpc.acquire(4 * hidden_, 1);
   p.sh_ = mpc.acquire(hidden_, 1);
   p.sc_ = mpc.acquire(hidden_, 1);
   p.wx_ = LinearPlan(*wx_, 1, mpc.exec());
-  if (p.fused_) {
-    // The recurrent layer carries no bias of its own, so the cell's
-    // gate bias rides its plan as an override, and gx arrives as the
-    // run-time residual: gh = (Wh.h + bias) + gx in the GEMV's epilogue.
-    LinearFusion fusion;
-    fusion.residual = true;
-    fusion.bias = &bias_;
-    p.wh_ = LinearPlan(*wh_, 1, mpc.exec(), fusion);
-  } else {
-    p.wh_ = LinearPlan(*wh_, 1, mpc.exec());
-  }
+  // The recurrent layer carries no bias of its own, so the cell's gate
+  // bias rides its plan as an override, and gx arrives as the run-time
+  // residual: gh = (Wh.h + bias) + gx in the GEMV's epilogue.
+  LinearFusion fusion;
+  fusion.residual = true;
+  fusion.bias = &bias_;
+  p.wh_ = LinearPlan(*wh_, 1, mpc.exec(), fusion);
   return p;
 }
 
@@ -90,7 +85,7 @@ void LstmCell::ScanPlan::release(ModulePlanContext& mpc) const {
 }
 
 void LstmCell::ScanPlan::run(float* base, ConstMatrixView x, MatrixView y,
-                             bool reverse, const PrepHandle* xpreps) const {
+                             bool reverse) const {
   const MatrixView gx = sgx_.view(base);
   const MatrixView gh = sgh_.view(base);
   const MatrixView h = sh_.view(base);
@@ -101,17 +96,8 @@ void LstmCell::ScanPlan::run(float* base, ConstMatrixView x, MatrixView y,
   const std::size_t hidden = cell_->hidden_size();
   for (std::size_t s = 0; s < frames; ++s) {
     const std::size_t t = reverse ? frames - 1 - s : s;
-    if (xpreps != nullptr) {
-      wx_.run(xpreps[t], gx);
-    } else {
-      wx_.run(x.col_block(t, 1), gx);
-    }
-    if (fused_) {
-      wh_.run(h, gh, gx);  // gh = (Wh.h + bias) + gx, one fused pass
-    } else {
-      wh_.run(h, gh);
-      cell_->combine_preactivations(gx.col(0), gh.col(0));
-    }
+    wx_.run(x.col_block(t, 1), gx);
+    wh_.run(h, gh, gx);  // gh = (Wh.h + bias) + gx, one fused pass
     cell_->apply_gates(gh.col(0), h.col(0), c.col(0));
     float* out = y.col(t);
     const float* hp = h.col(0);
@@ -138,43 +124,14 @@ class BiLstmStep final : public ModuleStep {
   BiLstmStep(LstmCell::ScanPlan fw, LstmCell::ScanPlan bw, std::size_t hidden)
       : fw_(std::move(fw)), bw_(std::move(bw)), hidden_(hidden) {}
 
-  /// Shared-prep variant: `sprep` holds one prep column per frame
-  /// (stride = sprep.rows() floats); run_step prepares every frame once
-  /// through the forward cell's input-projection plan, then BOTH scans
-  /// consume the handles — each frame's artifact is built once instead
-  /// of twice. Both directions' prep keys were verified equal by the
-  /// caller, so the backward scan reads the forward plan's artifacts
-  /// bitwise-exactly as its own prepare would have written them.
-  BiLstmStep(LstmCell::ScanPlan fw, LstmCell::ScanPlan bw, std::size_t hidden,
-             ModelSlot sprep, std::size_t frames)
-      : fw_(std::move(fw)), bw_(std::move(bw)), hidden_(hidden),
-        share_(true), sprep_(sprep), xpreps_(frames) {}
-
   void run_step(float* base, ConstMatrixView x, MatrixView y) const override {
-    const PrepHandle* preps = nullptr;
-    if (share_) {
-      float* prep_base = base + sprep_.offset();
-      const std::size_t stride = sprep_.rows();
-      for (std::size_t t = 0; t < x.cols(); ++t) {
-        xpreps_[t].bind(prep_base + t * stride, stride);
-        fw_.wx_plan().prepare(x.col_block(t, 1), xpreps_[t]);
-      }
-      preps = xpreps_.data();
-    }
-    fw_.run(base, x, y.block(0, hidden_, 0, y.cols()), /*reverse=*/false,
-            preps);
-    bw_.run(base, x, y.block(hidden_, hidden_, 0, y.cols()), /*reverse=*/true,
-            preps);
+    fw_.run(base, x, y.block(0, hidden_, 0, y.cols()), /*reverse=*/false);
+    bw_.run(base, x, y.block(hidden_, hidden_, 0, y.cols()), /*reverse=*/true);
   }
 
  private:
   LstmCell::ScanPlan fw_, bw_;
   std::size_t hidden_;
-  bool share_ = false;
-  ModelSlot sprep_;  // prep_stride x T; column t = frame t's artifact
-  // Sized at plan time, rebound to the arena each run_step — warm runs
-  // allocate nothing (one caller at a time owns a running plan).
-  mutable std::vector<PrepHandle> xpreps_;
 };
 
 }  // namespace
@@ -196,40 +153,8 @@ Shape BiLstm::out_shape(Shape in) const {
 }
 
 std::unique_ptr<ModuleStep> BiLstm::plan_into(ModulePlanContext& mpc) const {
-  if (mpc.share_prep()) {
-    // Both directions read every frame of the same x, so when their
-    // input projections freeze identical activation artifacts (equal
-    // prep keys), each frame's LUT/quantization builds once and both
-    // scans consume it — the build cost halves. Probing requires both
-    // scans' plans up front, so their slots coexist (a few 4h/h
-    // vectors — noise next to the per-frame prep slab) and the prep
-    // slot spans the whole step: its last reader is the backward scan's
-    // final frame.
-    LstmCell::ScanPlan fw = fw_.cell().plan_scan(mpc);
-    LstmCell::ScanPlan bw = bw_.cell().plan_scan(mpc);
-    const bool share = shareable_prep({&fw.wx_plan(), &bw.wx_plan()});
-    ModelSlot sprep;
-    if (share) {
-      // One column per frame, stride rounded so every frame's artifact
-      // keeps the arena base's 64-byte alignment.
-      constexpr std::size_t kAlignFloats = 16;
-      const std::size_t stride =
-          (fw.wx_plan().prep_floats() + kAlignFloats - 1) / kAlignFloats *
-          kAlignFloats;
-      sprep = mpc.acquire(stride, mpc.batch());
-    }
-    fw.release(mpc);
-    bw.release(mpc);
-    if (share) {
-      mpc.release(sprep);
-      return std::make_unique<BiLstmStep>(std::move(fw), std::move(bw),
-                                          hidden_size(), sprep, mpc.batch());
-    }
-    return std::make_unique<BiLstmStep>(std::move(fw), std::move(bw),
-                                        hidden_size());
-  }
-  // Unshared: the directions run sequentially, so the backward scan's
-  // slots reuse the forward scan's released storage.
+  // The directions run sequentially, so the backward scan's slots reuse
+  // the forward scan's released storage.
   LstmCell::ScanPlan fw = fw_.cell().plan_scan(mpc);
   fw.release(mpc);
   LstmCell::ScanPlan bw = bw_.cell().plan_scan(mpc);

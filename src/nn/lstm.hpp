@@ -31,22 +31,14 @@ class LstmCell {
     void release(ModulePlanContext& mpc) const;
 
     /// x: in x T -> y: h x T, through the frozen GEMV plans and the
-    /// same apply_gates() tail as the eager step. When `xpreps` is
-    /// non-null it points at T ready PrepHandles (one per frame, keyed
-    /// like wx_plan()'s prep) and the input projection consumes
-    /// xpreps[t] instead of rebuilding frame t's artifact — how BiLstm
-    /// feeds both directional scans from one prepare per frame.
-    void run(float* base, ConstMatrixView x, MatrixView y, bool reverse,
-             const PrepHandle* xpreps = nullptr) const;
-
-    /// The frozen input-projection plan (batch 1), exposed so owning
-    /// steps can probe prep compatibility and drive the shared prepare.
-    [[nodiscard]] const LinearPlan& wx_plan() const noexcept { return wx_; }
+    /// same apply_gates() tail as the eager step; the gate bias and the
+    /// input projection ride the recurrent GEMV's epilogue.
+    void run(float* base, ConstMatrixView x, MatrixView y,
+             bool reverse) const;
 
    private:
     friend class LstmCell;
     const LstmCell* cell_ = nullptr;
-    bool fused_ = false;  // gate bias + gx residual ride wh's epilogue
     LinearPlan wx_, wh_;
     ModelSlot sgx_, sgh_;  // 4h x 1 gate pre-activations
     ModelSlot sh_, sc_;    // h x 1 hidden / cell state
@@ -69,14 +61,14 @@ class LstmCell {
 
   /// Combines the two projections into the gate pre-activations, in
   /// place on ph: ph[j] = (ph[j] + bias[j]) + px[j] — the exact
-  /// arithmetic order of the fused path, where the gate bias and the px
-  /// residual ride the recurrent GEMV's epilogue, so fused and unfused
-  /// scans are bitwise identical.
+  /// arithmetic order of the planned scan, where the gate bias and the
+  /// px residual ride the recurrent GEMV's epilogue, so the eager step
+  /// and the planned scan are bitwise identical.
   void combine_preactivations(const float* px, float* ph) const noexcept;
 
   /// The gate non-linearities over the COMBINED pre-activations
   /// pre = (Wh.h + bias) + Wx.x_t (length 4h), updating h and c in
-  /// place — the shared tail of the eager step and both planned scans.
+  /// place — the shared tail of the eager step and the planned scan.
   void apply_gates(const float* pre, float* h, float* c) const noexcept;
 
   /// Projection layers and bias, for planners freezing the step.
@@ -137,7 +129,9 @@ class BiLstm final : public PlannableModule {
   void forward(ConstMatrixView x, MatrixView h_out) const override;
 
   /// PlannableModule: two cell scans run sequentially, so the backward
-  /// scan's slots reuse the forward scan's released storage.
+  /// scan's slots reuse the forward scan's released storage — the arena
+  /// is one scan's gate and state slots, whatever the frame count. Each
+  /// scan's input projection builds its own per-frame artifact.
   [[nodiscard]] std::size_t in_rows() const noexcept override {
     return fw_.cell().input_size();
   }

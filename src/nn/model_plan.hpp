@@ -7,7 +7,8 @@
 // an arbitrary Sequential hybrid of them — for one batch width under
 // one ExecContext, through one generic walker:
 //   * every projection's GemmPlan is frozen up front (LinearPlan =
-//     engine plan + bias), so the warm path never plans per call,
+//     engine plan + bias and any folded epilogue), so the warm path
+//     never plans per call,
 //   * every intermediate activation tensor of the module tree goes
 //     through ModelPlanner, a liveness-based packer that assigns offsets
 //     in ONE arena block, reusing storage across tensors whose lifetimes
@@ -46,23 +47,15 @@ class ModelPlan {
  public:
   /// Compiles the module tree via the generic walker. `batch` is the
   /// token/frame count the plan is bound to: x is module.in_rows() x
-  /// batch, y is module.out_shape(...).rows x batch. `fuse` enables
-  /// epilogue fusion (bias/activation/residual folded into producer
-  /// GEMM plans — the default); fuse = false compiles every seam as a
-  /// separate pass, for A/B comparisons. `share_prep` (default on) lets
-  /// fan-out steps — attention's Q/K/V, BiLstm's two scans — build each
-  /// shared input's activation artifact (LUT / quantized grid /
-  /// bit-planes) once and consume it from every reader; off rebuilds
-  /// per consumer, for the sharing A/B. `fuse_ln` (default on; only
-  /// meaningful while fuse is on) additionally folds LayerNorms into
-  /// the preceding projection's column-granular epilogue — off keeps LN
-  /// as its own seam pass, for the LN-fusion A/B. Outputs are bitwise
-  /// identical across all toggle combinations (the fused arithmetic
-  /// order is the contract, and consume replays it exactly; the LN
-  /// column math is one shared helper on both paths).
+  /// batch, y is module.out_shape(...).rows x batch. There is one
+  /// program per (module, batch, ctx): every bias, activation, residual
+  /// add and LayerNorm the module tree can fold rides its producer
+  /// GEMM's epilogue (the column-granular stage for LayerNorm), and each
+  /// projection builds its own activation artifact (LUT / quantized grid
+  /// / bit-planes) inside its GEMM — BiQGEMM's reuse is within one GEMM,
+  /// where a column's table serves all m output rows.
   ModelPlan(const PlannableModule& module, std::size_t batch,
-            ExecContext& ctx, bool fuse = true, bool share_prep = true,
-            bool fuse_ln = true);
+            ExecContext& ctx);
 
   ~ModelPlan();
   ModelPlan(ModelPlan&&) noexcept;

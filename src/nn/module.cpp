@@ -168,7 +168,7 @@ std::unique_ptr<ModuleStep> plan_chain(const PlannableModule* const* modules,
     // and the intermediate between them never exists.
     std::size_t consumed = 1;
     StepFusion fusion;
-    if (mpc.fuse() && i + 1 < count) {
+    if (i + 1 < count) {
       const auto* act = dynamic_cast<const Activation*>(modules[i + 1]);
       if (act != nullptr) {
         const StepFusion probe{to_epilogue_act(act->activation()), false};
@@ -185,7 +185,7 @@ std::unique_ptr<ModuleStep> plan_chain(const PlannableModule* const* modules,
     // Linear→Act→LN become one step, and the slot between them never
     // exists. LN is shape-preserving, so the output slot's shape is
     // the same either way.
-    if (mpc.fuse_ln() && i + consumed < count) {
+    if (i + consumed < count) {
       const auto* ln = dynamic_cast<const LayerNorm*>(modules[i + consumed]);
       if (ln != nullptr) {
         StepFusion probe = fusion;
@@ -300,7 +300,7 @@ Shape Residual::out_shape(Shape in) const {
 
 std::unique_ptr<ModuleStep> Residual::plan_into(ModulePlanContext& mpc) const {
   const StepFusion fusion{EpilogueAct::kNone, /*input_residual=*/true};
-  if (mpc.fuse() && inner_->supports_fusion(fusion)) {
+  if (inner_->supports_fusion(fusion)) {
     return inner_->plan_into_fused(mpc, fusion);
   }
   return std::make_unique<ResidualStep>(*inner_, mpc);

@@ -115,7 +115,7 @@ using ModelSlot = ModelPlanner::Slot;
 /// the add of the producer's OWN input (y = module(x) + x — the residual
 /// shape every seam in this codebase has). Fusion changes where the
 /// arithmetic runs, never what it computes: a fused step is bitwise
-/// identical to the unfused step followed by the separate passes.
+/// identical to the eager module followed by the separate passes.
 struct StepFusion {
   EpilogueAct act = EpilogueAct::kNone;
   bool input_residual = false;
@@ -135,33 +135,19 @@ struct StepFusion {
 };
 
 /// The compile-time context handed to every plan_into: the shared
-/// planner, the ExecContext the frozen GemmPlans bind to, the batch
-/// width (tokens / frames) the whole model is compiled for, and whether
-/// the walk may fold epilogues into producer plans (`fuse`, default on —
-/// off compiles the unfused program, for parity tests and benches).
-/// `share_prep` (default on) lets step builders with structural fan-out
-/// — several projections reading the SAME activation — build that
-/// input's LUT/quantization artifact once and consume it from every
-/// reader (the GemmPlan prepare/consume contract); off compiles every
-/// projection's fused build-and-multiply path, for the sharing A/B.
-/// `fuse_ln` (default on; only meaningful while `fuse` is on) lets the
-/// walk additionally fold LayerNorms into the preceding projection's
-/// column-granular epilogue; off keeps LN as its own pass, for the
-/// fused-vs-separate-LN A/B.
+/// planner, the ExecContext the frozen GemmPlans bind to, and the batch
+/// width (tokens / frames) the whole model is compiled for. There is one
+/// program per model: epilogues and LayerNorms always fold into their
+/// producer plans where the producer supports it.
 class ModulePlanContext {
  public:
   ModulePlanContext(ModelPlanner& planner, ExecContext& ctx,
-                    std::size_t batch, bool fuse = true,
-                    bool share_prep = true, bool fuse_ln = true) noexcept
-      : planner_(&planner), ctx_(&ctx), batch_(batch), fuse_(fuse),
-        share_prep_(share_prep), fuse_ln_(fuse_ln) {}
+                    std::size_t batch) noexcept
+      : planner_(&planner), ctx_(&ctx), batch_(batch) {}
 
   [[nodiscard]] ModelPlanner& planner() noexcept { return *planner_; }
   [[nodiscard]] ExecContext& exec() const noexcept { return *ctx_; }
   [[nodiscard]] std::size_t batch() const noexcept { return batch_; }
-  [[nodiscard]] bool fuse() const noexcept { return fuse_; }
-  [[nodiscard]] bool share_prep() const noexcept { return share_prep_; }
-  [[nodiscard]] bool fuse_ln() const noexcept { return fuse_ && fuse_ln_; }
 
   [[nodiscard]] ModelSlot acquire(std::size_t rows, std::size_t cols) {
     return planner_->acquire(rows, cols);
@@ -172,9 +158,6 @@ class ModulePlanContext {
   ModelPlanner* planner_;
   ExecContext* ctx_;
   std::size_t batch_;
-  bool fuse_;
-  bool share_prep_;
-  bool fuse_ln_;
 };
 
 /// One module's frozen forward: held GemmPlans plus arena slots, replayed
@@ -268,20 +251,13 @@ class PlannableModule {
 /// through it. An empty chain compiles to the identity copy (a 0-layer
 /// encoder is a copy); a row mismatch at any seam throws.
 ///
-/// Peephole (when mpc.fuse()): a producer followed by an Activation it
-/// supports_fusion() for is folded into ONE fused step — the activation
-/// runs inside the producer's GEMM epilogue, the Activation's step and
-/// the intermediate slot between them are never materialized. With
-/// mpc.fuse_ln() the same fold extends to a trailing LayerNorm (after
-/// any Activation fold): Linear→LN and Linear→Act→LN compile to one
-/// step whose GEMM normalizes each output column as it completes.
-///
-/// Activation-prep sharing (mpc.share_prep()) does NOT act at this
-/// level: a chain seam has exactly one consumer per activation, so there
-/// is nothing to amortize. The sharing seats are the step builders with
-/// structural fan-out — MultiHeadAttention (Q/K/V read one x) and
-/// BiLstm (two directional scans read each frame) — which detect
-/// matching prep keys themselves.
+/// Peephole: a producer followed by an Activation it supports_fusion()
+/// for is folded into ONE fused step — the activation runs inside the
+/// producer's GEMM epilogue, the Activation's step and the intermediate
+/// slot between them are never materialized. The same fold extends to a
+/// trailing LayerNorm (after any Activation fold): Linear→LN and
+/// Linear→Act→LN compile to one step whose GEMM normalizes each output
+/// column as it completes.
 [[nodiscard]] std::unique_ptr<ModuleStep> plan_chain(
     const PlannableModule* const* modules, std::size_t count,
     ModulePlanContext& mpc);
@@ -326,11 +302,11 @@ class Sequential final : public PlannableModule {
 
 /// Residual wrapper: y = inner(x) + x. The inner module must be shape
 /// preserving (out rows == in rows; checked at construction). When the
-/// plan is compiled with fusion and the inner module supports it, the
-/// add runs inside the inner module's final GEMM epilogue — no extra
-/// slot, no separate add pass; otherwise (and on the eager path) the
-/// inner output lands in a temporary and one add pass follows, in the
-/// same operand order (inner(x) + x), so both paths agree bitwise.
+/// inner module supports it, the planned add runs inside the inner
+/// module's final GEMM epilogue — no extra slot, no separate add pass;
+/// otherwise (and on the eager path) the inner output lands in a
+/// temporary and one add pass follows, in the same operand order
+/// (inner(x) + x), so both paths agree bitwise.
 class Residual final : public PlannableModule {
  public:
   explicit Residual(std::unique_ptr<PlannableModule> inner);

@@ -86,6 +86,8 @@ class FeedForward final : public PlannableModule {
 
 class EncoderLayer final : public PlannableModule {
  public:
+  /// attention and ffn must both be `hidden` wide (throws
+  /// std::invalid_argument otherwise).
   EncoderLayer(MultiHeadAttention attention, FeedForward ffn,
                std::size_t hidden);
 
@@ -97,16 +99,12 @@ class EncoderLayer final : public PlannableModule {
   /// GEMM epilogue, keeping eager and planned paths bitwise identical.
   void forward(MatrixView x) const;
 
-  /// PlannableModule: with LN fusion (mpc.fuse_ln(), the default) both
-  /// residual→LN seams ride the sub-blocks' output projections — the
-  /// attention step writes LN1(attn(x) + x) straight into y and the FFN
-  /// step stages its pre-norm output in a planner slot and normalizes
-  /// into y — so the layer-wide residual-branch slot of the unfused
-  /// program is never acquired and the planner arena shrinks. Without
-  /// it, composes the attention and FFN sub-steps around that one
-  /// internal residual-branch slot; either way the FFN intermediate
-  /// reuses the attention scratch (released first) — the big liveness
-  /// win.
+  /// PlannableModule: both residual→LN seams ride the sub-blocks'
+  /// output projections — the attention step writes LN1(attn(x) + x)
+  /// straight into y and the FFN step stages its pre-norm output in a
+  /// planner slot and normalizes into y — so no layer-wide residual
+  /// slot exists, and the FFN intermediate reuses the attention scratch
+  /// (released first) — the big liveness win.
   [[nodiscard]] std::size_t in_rows() const noexcept override {
     return ln1_.dim();
   }

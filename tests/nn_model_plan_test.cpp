@@ -162,24 +162,32 @@ TEST(ModelPlanner, FuzzedAcquireReleaseKeepsLiveSlotsDisjoint) {
 // ------------------------------------------- planned vs eager (bitwise)
 
 TEST(ModelPlan, EncoderPlannedMatchesEagerBitwise) {
+  // Every bias, residual add and LayerNorm rides a GEMM epilogue in the
+  // planned program, in the eager arithmetic order (the LN column math
+  // is one shared helper on both paths), so equality is bitwise — for
+  // fp32 and quantized weights, serial and tile-parallel alike.
   Rng rng(3);
   const Matrix input = Matrix::random_normal(32, 6, rng);
+  ThreadPool pool(3);
   for (const bool quantized : {false, true}) {
-    ExecContext ctx;
-    const TransformerEncoder enc =
-        make_encoder(tiny(), 42, quantized ? quant2() : QuantSpec{}, &ctx);
+    for (const bool pooled : {false, true}) {
+      ExecContext ctx(pooled ? &pool : nullptr);
+      const TransformerEncoder enc =
+          make_encoder(tiny(), 42, quantized ? quant2() : QuantSpec{}, &ctx);
 
-    Matrix eager = input;
-    enc.forward(eager);
+      Matrix eager = input;
+      enc.forward(eager);
 
-    const ModelPlan plan(enc, input.cols(), ctx);
-    EXPECT_EQ(plan.batch(), 6u);
-    EXPECT_EQ(plan.input_rows(), 32u);
-    EXPECT_EQ(plan.output_rows(), 32u);
-    Matrix planned(32, 6);
-    plan.run(input, planned);
-    EXPECT_EQ(max_abs_diff(planned, eager), 0.0f)
-        << (quantized ? "quantized" : "fp32");
+      const ModelPlan plan(enc, input.cols(), ctx);
+      EXPECT_EQ(plan.batch(), 6u);
+      EXPECT_EQ(plan.input_rows(), 32u);
+      EXPECT_EQ(plan.output_rows(), 32u);
+      Matrix planned(32, 6);
+      plan.run(input, planned);
+      EXPECT_EQ(max_abs_diff(planned, eager), 0.0f)
+          << (quantized ? "quantized" : "fp32")
+          << (pooled ? " pooled" : " serial");
+    }
   }
 }
 
@@ -187,21 +195,25 @@ TEST(ModelPlan, BiLstmPlannedMatchesEagerBitwise) {
   const std::size_t in = 12, hidden = 8, frames = 7;
   Rng rng(4);
   const Matrix audio = Matrix::random_normal(in, frames, rng);
+  ThreadPool pool(3);
   for (const bool quantized : {false, true}) {
-    ExecContext ctx;
-    const QuantSpec spec = quantized ? quant2() : QuantSpec{};
-    const BiLstm model(make_lstm_cell(in, hidden, 31, spec, &ctx),
-                       make_lstm_cell(in, hidden, 32, spec, &ctx));
+    for (const bool pooled : {false, true}) {
+      ExecContext ctx(pooled ? &pool : nullptr);
+      const QuantSpec spec = quantized ? quant2() : QuantSpec{};
+      const BiLstm model(make_lstm_cell(in, hidden, 31, spec, &ctx),
+                         make_lstm_cell(in, hidden, 32, spec, &ctx));
 
-    Matrix eager(2 * hidden, frames);
-    model.forward(audio, eager);
+      Matrix eager(2 * hidden, frames);
+      model.forward(audio, eager);
 
-    const ModelPlan plan(model, frames, ctx);
-    EXPECT_EQ(plan.output_rows(), 2 * hidden);
-    Matrix planned(2 * hidden, frames);
-    plan.run(audio, planned);
-    EXPECT_EQ(max_abs_diff(planned, eager), 0.0f)
-        << (quantized ? "quantized" : "fp32");
+      const ModelPlan plan(model, frames, ctx);
+      EXPECT_EQ(plan.output_rows(), 2 * hidden);
+      Matrix planned(2 * hidden, frames);
+      plan.run(audio, planned);
+      EXPECT_EQ(max_abs_diff(planned, eager), 0.0f)
+          << (quantized ? "quantized" : "fp32")
+          << (pooled ? " pooled" : " serial");
+    }
   }
 }
 
@@ -237,118 +249,79 @@ TEST(ModelPlan, AttentionPlannedMatchesEagerBitwise) {
   EXPECT_EQ(max_abs_diff(planned, eager), 0.0f);
 }
 
-// ------------------------------------------- fused vs unfused parity
+// ------------------------------------------------- exact arena layout
 
-TEST(ModelPlan, FusedAndUnfusedEncoderMatchEagerBitwise) {
-  // The fused arithmetic order IS the contract: eager, the fused plan
-  // (default) and the unfused plan (separate seam passes) must agree
-  // bitwise, for fp32 and quantized weights alike.
-  Rng rng(31);
-  const Matrix input = Matrix::random_normal(32, 6, rng);
+/// A slot's arena extent: its float count rounded up to the planner's
+/// 64-byte (16-float) alignment.
+std::size_t aligned(std::size_t floats) { return (floats + 15) / 16 * 16; }
+
+TEST(ModelPlan, EncoderArenaIsOneChainSlotPlusTheAttentionWorkingSet) {
+  // A 2-layer encoder at T tokens: the chain slot between the layers
+  // (hidden x T) is live while the second layer plans, and inside each
+  // layer the attention scratch (q, k, v, context: hidden x T each; the
+  // T x T scores) is released before the FFN intermediate (ffn x T)
+  // and its LN staging block (hidden x T) reuse it. Both residual→LN
+  // seams ride the output projections, so no layer-wide residual slot
+  // exists: the arena is exactly chain slot + the larger working set.
+  const TransformerConfig cfg = tiny();
+  const std::size_t t = 8;
+  const std::size_t chain = aligned(cfg.hidden * t);
+  const std::size_t attention = 4 * aligned(cfg.hidden * t) + aligned(t * t);
+  const std::size_t ffn = aligned(cfg.ffn * t) + aligned(cfg.hidden * t);
+  ASSERT_GT(attention, ffn);  // the shape this pin is written for
   for (const bool quantized : {false, true}) {
     ExecContext ctx;
     const TransformerEncoder enc =
-        make_encoder(tiny(), 42, quantized ? quant2() : QuantSpec{}, &ctx);
-    Matrix eager = input;
-    enc.forward(eager);
-
-    const ModelPlan fused(enc, input.cols(), ctx, /*fuse=*/true);
-    const ModelPlan unfused(enc, input.cols(), ctx, /*fuse=*/false);
-    Matrix yf(32, 6), yu(32, 6);
-    fused.run(input, yf);
-    unfused.run(input, yu);
-    EXPECT_EQ(max_abs_diff(yf, eager), 0.0f)
-        << "fused " << (quantized ? "quantized" : "fp32");
-    EXPECT_EQ(max_abs_diff(yu, eager), 0.0f)
-        << "unfused " << (quantized ? "quantized" : "fp32");
+        make_encoder(cfg, 42, quantized ? quant2() : QuantSpec{}, &ctx);
+    const ModelPlan plan(enc, t, ctx);
+    EXPECT_EQ(plan.arena_floats(), chain + attention)
+        << (quantized ? "quantized" : "fp32");
+    EXPECT_EQ(plan.unpacked_floats(), chain + 2 * (attention + ffn))
+        << (quantized ? "quantized" : "fp32");
   }
 }
 
-TEST(ModelPlan, FusedAndUnfusedBiLstmMatchEagerBitwise) {
-  const std::size_t in = 12, hidden = 8, frames = 7;
-  Rng rng(32);
-  const Matrix audio = Matrix::random_normal(in, frames, rng);
+TEST(ModelPlan, QuantizedEncoderPacksToItsFp32TwinsArena) {
+  // Each projection builds its activation artifact in its engine's own
+  // scratch, so quantizing the weights adds nothing to the activation
+  // arena: the 2-bit program packs exactly like the fp32 one.
+  for (const std::size_t t : {1u, 8u, 33u}) {
+    ExecContext ctx;
+    const TransformerEncoder fp32 = make_encoder(tiny(), 42, {}, &ctx);
+    const TransformerEncoder two_bit = make_encoder(tiny(), 42, quant2(), &ctx);
+    const ModelPlan a(fp32, t, ctx);
+    const ModelPlan b(two_bit, t, ctx);
+    EXPECT_EQ(b.arena_floats(), a.arena_floats()) << "tokens=" << t;
+    EXPECT_EQ(b.unpacked_floats(), a.unpacked_floats()) << "tokens=" << t;
+  }
+}
+
+TEST(ModelPlan, BiLstmArenaIsOneScansSlotsAtAnyFrameCount) {
+  // The two directional scans run one after the other, so the backward
+  // scan reuses the forward scan's storage: the arena is one scan's
+  // gate pre-activations (2 x 4h) and h/c state (2 x h), whatever the
+  // frame count, for fp32 and quantized weights alike.
+  const std::size_t in = 12, hidden = 8;
+  const std::size_t scan = 2 * aligned(4 * hidden) + 2 * aligned(hidden);
   for (const bool quantized : {false, true}) {
     ExecContext ctx;
     const QuantSpec spec = quantized ? quant2() : QuantSpec{};
     const BiLstm model(make_lstm_cell(in, hidden, 31, spec, &ctx),
                        make_lstm_cell(in, hidden, 32, spec, &ctx));
-    Matrix eager(2 * hidden, frames);
-    model.forward(audio, eager);
-
-    const ModelPlan fused(model, frames, ctx, /*fuse=*/true);
-    const ModelPlan unfused(model, frames, ctx, /*fuse=*/false);
-    Matrix yf(2 * hidden, frames), yu(2 * hidden, frames);
-    fused.run(audio, yf);
-    unfused.run(audio, yu);
-    EXPECT_EQ(max_abs_diff(yf, eager), 0.0f)
-        << "fused " << (quantized ? "quantized" : "fp32");
-    EXPECT_EQ(max_abs_diff(yu, eager), 0.0f)
-        << "unfused " << (quantized ? "quantized" : "fp32");
-  }
-}
-
-TEST(ModelPlan, EncoderBitwiseAcrossFuseShareAndLnToggles) {
-  // The full toggle matrix: eager must equal the planned forward for
-  // every fuse x share_prep x fuse_ln combination, fp32 and quantized,
-  // serial and pooled — the LN column math is one shared helper on
-  // every path, so equality is bitwise, not approximate.
-  Rng rng(41);
-  const Matrix input = Matrix::random_normal(32, 6, rng);
-  ThreadPool pool(3);
-  for (const bool quantized : {false, true}) {
-    for (const bool pooled : {false, true}) {
-      ExecContext ctx(pooled ? &pool : nullptr);
-      const TransformerEncoder enc =
-          make_encoder(tiny(), 42, quantized ? quant2() : QuantSpec{}, &ctx);
-      Matrix eager = input;
-      enc.forward(eager);
-      for (const bool fuse : {false, true}) {
-        for (const bool share : {false, true}) {
-          for (const bool fuse_ln : {false, true}) {
-            const ModelPlan plan(enc, input.cols(), ctx, fuse, share, fuse_ln);
-            Matrix y(32, 6);
-            plan.run(input, y);
-            EXPECT_EQ(max_abs_diff(y, eager), 0.0f)
-                << (quantized ? "quantized" : "fp32")
-                << (pooled ? " pooled" : " serial") << " fuse=" << fuse
-                << " share_prep=" << share << " fuse_ln=" << fuse_ln;
-          }
-        }
-      }
+    for (const std::size_t frames : {1u, 7u, 50u}) {
+      const ModelPlan plan(model, frames, ctx);
+      EXPECT_EQ(plan.arena_floats(), scan)
+          << (quantized ? "quantized" : "fp32") << " frames=" << frames;
     }
   }
-}
-
-TEST(ModelPlan, LnFusionShrinksTheEncoderArena) {
-  // With both residual→LN seams folded into the sub-blocks' output
-  // projections, the layer-wide residual-branch slot is never acquired:
-  // the LN-fused program's packed arena must be strictly smaller than
-  // the fused-but-LN-separate program's.
-  ExecContext ctx;
-  const TransformerEncoder enc = make_encoder(tiny(), 42, quant2(), &ctx);
-  const ModelPlan ln_fused(enc, 8, ctx, /*fuse=*/true, /*share_prep=*/true,
-                           /*fuse_ln=*/true);
-  const ModelPlan ln_separate(enc, 8, ctx, /*fuse=*/true, /*share_prep=*/true,
-                              /*fuse_ln=*/false);
-  EXPECT_LT(ln_fused.arena_floats(), ln_separate.arena_floats());
-}
-
-TEST(ModelPlan, FusionNeverGrowsTheArena) {
-  // Fusion only removes seam passes and (in chains) intermediate slots
-  // — it must never cost activation memory.
-  ExecContext ctx;
-  const TransformerEncoder enc = make_encoder(tiny(), 42, quant2(), &ctx);
-  const ModelPlan fused(enc, 8, ctx, /*fuse=*/true);
-  const ModelPlan unfused(enc, 8, ctx, /*fuse=*/false);
-  EXPECT_LE(fused.arena_floats(), unfused.arena_floats());
 }
 
 TEST(ModelPlan, ChainFoldsLinearActivationAndDropsTheSlot) {
   // Sequential{Linear, Activation, Linear}: the peephole folds the
   // Activation into the first Linear's GEMM epilogue, so the
-  // intermediate between them never exists — one fewer chain slot —
-  // and the output still matches eager bitwise.
+  // intermediate between them never exists — the pair is one stage and
+  // exactly one chain slot remains — and the output still matches eager
+  // bitwise.
   const std::size_t in = 20, mid = 24, out = 16, batch = 5;
   Rng rng(33), wrng(34);
   const Matrix x = Matrix::random_normal(in, batch, rng);
@@ -367,19 +340,13 @@ TEST(ModelPlan, ChainFoldsLinearActivationAndDropsTheSlot) {
     Matrix eager(out, batch);
     seq.forward(x, eager);
 
-    const ModelPlan fused(seq, batch, ctx, /*fuse=*/true);
-    const ModelPlan unfused(seq, batch, ctx, /*fuse=*/false);
-    Matrix yf(out, batch), yu(out, batch);
-    fused.run(x, yf);
-    unfused.run(x, yu);
-    EXPECT_EQ(max_abs_diff(yf, eager), 0.0f)
-        << "fused " << (quantized ? "quantized" : "fp32");
-    EXPECT_EQ(max_abs_diff(yu, eager), 0.0f)
-        << "unfused " << (quantized ? "quantized" : "fp32");
-    // Unfused: two chain slots (post-Linear and post-Activation).
-    // Fused: the pair is one stage, so exactly one slot remains.
-    EXPECT_LT(fused.arena_floats(), unfused.arena_floats());
-    EXPECT_LT(fused.unpacked_floats(), unfused.unpacked_floats());
+    const ModelPlan plan(seq, batch, ctx);
+    Matrix planned(out, batch);
+    plan.run(x, planned);
+    EXPECT_EQ(max_abs_diff(planned, eager), 0.0f)
+        << (quantized ? "quantized" : "fp32");
+    EXPECT_EQ(plan.arena_floats(), aligned(mid * batch));
+    EXPECT_EQ(plan.unpacked_floats(), aligned(mid * batch));
   }
 }
 
@@ -576,31 +543,6 @@ TEST(ModelPlan, WarmEncoderForwardPerformsZeroHeapAllocations) {
       << "warm ModelPlan::run allocated on the heap";
 }
 
-TEST(ModelPlan, WarmLnFusedColumnBarrierPathPerformsZeroHeapAllocations) {
-  // The column-granular LN stage specifically: barrier counters live in
-  // the frozen plan and the normalize runs in whichever worker retires
-  // a column's last row tile — none of it may touch the heap once warm,
-  // serial or tile-parallel.
-  ThreadPool pool(3);
-  ExecContext ctx(&pool);
-  const TransformerEncoder enc = make_encoder(tiny(), 42, quant2(), &ctx);
-  Rng rng(43);
-  const Matrix x = Matrix::random_normal(32, 48, rng);
-  Matrix y(32, 48);
-
-  const ModelPlan plan(enc, 48, ctx, /*fuse=*/true, /*share_prep=*/true,
-                       /*fuse_ln=*/true);
-  plan.run(x, y);  // first run grows the engines' scratch arenas
-  plan.run(x, y);  // second consolidates overflow blocks
-  const std::size_t arena_warm = ctx.scratch_heap_allocations();
-  const std::size_t new_warm = g_new_calls.load();
-  for (int rep = 0; rep < 8; ++rep) plan.run(x, y);
-  EXPECT_EQ(ctx.scratch_heap_allocations(), arena_warm)
-      << "warm LN-fused ModelPlan::run grew a scratch arena";
-  EXPECT_EQ(g_new_calls.load(), new_warm)
-      << "warm LN-fused column-barrier path allocated on the heap";
-}
-
 TEST(ModelPlan, WarmBiLstmForwardPerformsZeroHeapAllocations) {
   const std::size_t in = 24, hidden = 16, frames = 6;
   ExecContext ctx;
@@ -758,7 +700,9 @@ TEST(Sequential, RejectsMismatchedSeams) {
 TEST(ModelPlan, WarmTileParallelEncoderForwardPerformsZeroHeapAllocations) {
   // Same pin with a pool bound to the context: the partitioner's
   // dispatch and every engine's tile path must stay allocation-free
-  // inside the whole-model plan too.
+  // inside the whole-model plan too — the column-granular LN stage
+  // included (its barrier counters live in the frozen plan and the
+  // normalize runs in whichever worker retires a column's last tile).
   ThreadPool pool(3);
   ExecContext ctx(&pool);
   const TransformerEncoder enc = make_encoder(tiny(), 42, quant2(), &ctx);

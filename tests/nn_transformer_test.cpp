@@ -106,6 +106,29 @@ TEST(FeedForward, RejectsNonTransposedShapes) {
                std::invalid_argument);
 }
 
+TEST(EncoderLayer, RejectsSubBlocksOfAnotherWidth) {
+  // The planned layer folds both LayerNorms into the sub-blocks' output
+  // projections, which needs attention and FFN to be `hidden` wide.
+  Rng rng(6);
+  const auto square = [&](std::size_t n) {
+    return std::make_unique<Linear>(Matrix::random_normal(n, n, rng),
+                                    std::vector<float>());
+  };
+  const auto ffn = [&](std::size_t n) {
+    return FeedForward(
+        std::make_unique<Linear>(Matrix::random_normal(2 * n, n, rng),
+                                 std::vector<float>()),
+        std::make_unique<Linear>(Matrix::random_normal(n, 2 * n, rng),
+                                 std::vector<float>()));
+  };
+  const auto attention = [&](std::size_t n) {
+    return MultiHeadAttention(square(n), square(n), square(n), square(n), 2);
+  };
+  EXPECT_THROW(EncoderLayer(attention(8), ffn(8), 16), std::invalid_argument);
+  EXPECT_THROW(EncoderLayer(attention(16), ffn(8), 16), std::invalid_argument);
+  EXPECT_NO_THROW(EncoderLayer(attention(16), ffn(16), 16));
+}
+
 TEST(FeedForward, AppliesActivationBetweenLayers) {
   // up = I, down = I, relu in between: negative inputs clamp to 0.
   const std::size_t d = 4;

@@ -13,11 +13,7 @@
 //   * warm prepare+consume performs zero heap allocations (instrumented
 //     operator new),
 //   * the error surface: prep-less plans, not-ready handles, undersized
-//     storage, cross-family and cross-parameter key mismatches,
-// plus the nn-level seats: MHA and BiLstm ModelPlans are bitwise
-// identical across the fuse x share_prep toggle square, and the MHA
-// prep slot's producer->last-consumer lifetime lets the score/context
-// slots reclaim its storage (exact arena arithmetic).
+//     storage, cross-family and cross-parameter key mismatches.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -28,10 +24,7 @@
 #include <vector>
 
 #include "engine/registry.hpp"
-#include "nn/attention.hpp"
-#include "nn/lstm.hpp"
-#include "nn/model_plan.hpp"
-#include "nn/tensor.hpp"
+#include "matrix/matrix.hpp"
 #include "threading/thread_pool.hpp"
 #include "util/aligned_buffer.hpp"
 
@@ -365,14 +358,16 @@ TEST(PrepErrors, MismatchedKeysAreRejected) {
   biq_plan->prepare(x, prep);
 
   // Cross-family: an int8 grid consumer must reject a biq-lut artifact.
-  const auto int8_plan = make_engine("int8", w)->plan(b, ctx);
+  const auto int8_engine = make_engine("int8", w);  // must outlive its plan
+  const auto int8_plan = int8_engine->plan(b, ctx);
   EXPECT_THROW(int8_plan->run(prep, y), std::invalid_argument);
 
   // Same family, different parameters: another mu freezes an
   // incompatible table layout.
   EngineConfig other_mu = biq_cfg;
   other_mu.kernel.mu = biq_plan->prep_key().p0 == 4 ? 6 : 4;
-  const auto mu_plan = make_engine("biqgemm", w, other_mu)->plan(b, ctx);
+  const auto mu_engine = make_engine("biqgemm", w, other_mu);
+  const auto mu_plan = mu_engine->plan(b, ctx);
   ASSERT_NE(mu_plan->prep_key(), biq_plan->prep_key());
   EXPECT_THROW(mu_plan->run(prep, y), std::invalid_argument);
 
@@ -384,181 +379,3 @@ TEST(PrepErrors, MismatchedKeysAreRejected) {
 
 }  // namespace
 }  // namespace biq
-
-// ------------------------------------------------- nn sharing seats
-
-namespace biq::nn {
-namespace {
-
-using biq::expect_bitwise;
-
-std::unique_ptr<LinearLayer> quant_layer(const Matrix& w) {
-  return std::make_unique<QuantLinear>(w, std::vector<float>(), 2);
-}
-
-MultiHeadAttention make_quant_mha(std::size_t hidden, unsigned heads,
-                                  std::uint64_t seed) {
-  Rng rng(seed);
-  return MultiHeadAttention(quant_layer(xavier_uniform(hidden, hidden, rng)),
-                            quant_layer(xavier_uniform(hidden, hidden, rng)),
-                            quant_layer(xavier_uniform(hidden, hidden, rng)),
-                            quant_layer(xavier_uniform(hidden, hidden, rng)),
-                            heads);
-}
-
-// The ModelPlan toggle square: fuse x share_prep in all four
-// combinations plus the eager forward must agree bitwise — sharing
-// changes where the build runs, never a single output bit.
-TEST(NnPrepShare, MhaToggleSquareIsBitwiseIdentical) {
-  const std::size_t hidden = 32, tokens = 6;
-  const MultiHeadAttention mha = make_quant_mha(hidden, 4, 53);
-  Rng rng(54);
-  const Matrix x = Matrix::random_normal(hidden, tokens, rng);
-  Matrix eager(hidden, tokens);
-  mha.forward(x, eager);
-
-  ExecContext ctx;
-  for (const bool fuse : {true, false}) {
-    for (const bool share : {true, false}) {
-      const ModelPlan plan(mha, tokens, ctx, fuse, share);
-      Matrix y(hidden, tokens);
-      plan.run(x, y);
-      expect_bitwise(y, eager,
-                     (std::string("mha fuse=") + (fuse ? "on" : "off") +
-                      " share=" + (share ? "on" : "off"))
-                         .c_str());
-    }
-  }
-}
-
-TEST(NnPrepShare, BiLstmToggleIsBitwiseIdentical) {
-  const std::size_t in = 20, hidden = 12, frames = 5;
-  QuantSpec spec;
-  spec.weight_bits = 2;
-  ExecContext ctx;
-  const BiLstm bilstm(make_lstm_cell(in, hidden, 61, spec, &ctx),
-                      make_lstm_cell(in, hidden, 62, spec, &ctx));
-  Rng rng(63);
-  const Matrix x = Matrix::random_normal(in, frames, rng);
-  Matrix eager(2 * hidden, frames);
-  bilstm.forward(x, eager);
-
-  for (const bool share : {true, false}) {
-    const ModelPlan plan(bilstm, frames, ctx, /*fuse=*/true, share);
-    Matrix y(2 * hidden, frames);
-    plan.run(x, y);
-    expect_bitwise(y, eager, share ? "bilstm share=on" : "bilstm share=off");
-  }
-}
-
-// The planner lifetime pin, by exact arena arithmetic. Slot program of
-// an MHA step (hidden h, tokens T, extents rounded to 16 floats):
-//   share off:  q, k, v, scores, context live together
-//               -> peak = 3*E(h*T) + E(T*T) + E(h*T)
-//   share on:   q, k, v, then the prep slot is acquired AND released
-//               (its last reader precedes every score write), then
-//               scores + context — whose combined extent fits inside
-//               the freed prep interval -> peak = 3*E(h*T) + E(P).
-// Equality with those closed forms pins BOTH ends of the lifetime: the
-// prep slab spans producer to last consumer (it is in the arena at
-// all), and it is reclaimed after (scores/context pack into its hole
-// instead of growing the peak).
-TEST(NnPrepShare, MhaPrepSlotIsReclaimedByScoreAndContextSlots) {
-  const std::size_t hidden = 32, tokens = 8;
-  Rng rng(59);
-  const Matrix wq = xavier_uniform(hidden, hidden, rng);
-  const MultiHeadAttention mha(
-      quant_layer(wq), quant_layer(xavier_uniform(hidden, hidden, rng)),
-      quant_layer(xavier_uniform(hidden, hidden, rng)),
-      quant_layer(xavier_uniform(hidden, hidden, rng)), 4);
-
-  // The projections' prep size, probed through an identical engine
-  // build (same weights, bits, default kernel options as QuantLinear).
-  ExecContext ctx;
-  EngineConfig cfg;
-  cfg.weight_bits = 2;
-  const auto probe = make_engine("biqgemm", wq, cfg)->plan(tokens, ctx);
-  ASSERT_TRUE(probe->has_prep());
-  const auto align16 = [](std::size_t floats) {
-    return (floats + 15) / std::size_t{16} * 16;
-  };
-  const std::size_t qkv = 3 * align16(hidden * tokens);
-  const std::size_t scores = align16(tokens * tokens);
-  const std::size_t context = align16(hidden * tokens);
-  const std::size_t prep = align16(probe->prep_floats());
-  ASSERT_GE(prep, scores + context)
-      << "shapes must make the prep hole big enough to test reclamation";
-
-  const ModelPlan off(mha, tokens, ctx, /*fuse=*/true, /*share_prep=*/false);
-  const ModelPlan on(mha, tokens, ctx, /*fuse=*/true, /*share_prep=*/true);
-  EXPECT_EQ(off.arena_floats(), qkv + scores + context);
-  EXPECT_EQ(on.arena_floats(), qkv + prep);
-}
-
-// fp32 projections carry no prep: sharing must disengage silently —
-// identical arena layout and identical outputs either way.
-TEST(NnPrepShare, PreplessProjectionsDisengageSharing) {
-  const std::size_t hidden = 24, tokens = 5;
-  Rng rng(67);
-  auto fp = [&] {
-    return std::make_unique<Linear>(xavier_uniform(hidden, hidden, rng),
-                                    std::vector<float>());
-  };
-  const MultiHeadAttention mha(fp(), fp(), fp(), fp(), 4);
-  Rng xrng(68);
-  const Matrix x = Matrix::random_normal(hidden, tokens, xrng);
-
-  ExecContext ctx;
-  const ModelPlan on(mha, tokens, ctx, true, true);
-  const ModelPlan off(mha, tokens, ctx, true, false);
-  EXPECT_EQ(on.arena_floats(), off.arena_floats());
-  Matrix y_on(hidden, tokens), y_off(hidden, tokens);
-  on.run(x, y_on);
-  off.run(x, y_off);
-  expect_bitwise(y_on, y_off, "fp32 mha share toggle");
-}
-
-TEST(NnPrepShare, ShareablePrepPredicate) {
-  const std::size_t m = 16, n = 16, b = 2;
-  Rng rng(71);
-  const Matrix w1 = xavier_uniform(m, n, rng);
-  const Matrix w2 = xavier_uniform(m, n, rng);
-  ExecContext ctx;
-  const QuantLinear q1(w1, {}, 2), q2(w2, {}, 2);
-  const Linear dense(w1, {});
-  const LinearPlan p1(q1, b, ctx), p2(q2, b, ctx), pd(dense, b, ctx);
-
-  EXPECT_TRUE(shareable_prep({&p1, &p2}));
-  EXPECT_FALSE(shareable_prep({&p1}));        // nothing to share
-  EXPECT_FALSE(shareable_prep({&p1, &pd}));   // dense consumer
-  EXPECT_FALSE(shareable_prep({&pd, &p1}));   // prep-less producer
-  EXPECT_FALSE(shareable_prep({}));
-
-  // Different quantization depth freezes a different artifact.
-  const QuantLinear q3(w2, {}, 3);
-  const LinearPlan p3(q3, b, ctx);
-  EXPECT_EQ(shareable_prep({&p1, &p3}),
-            p1.prep_key() == p3.prep_key());
-}
-
-// Whole-model warm runs with sharing engaged must stay zero-allocation
-// — the prep slab lives in the plan's arena, never on the heap.
-TEST(NnPrepShare, WarmSharedModelRunsPerformZeroHeapAllocations) {
-  const std::size_t hidden = 32, tokens = 8;
-  const MultiHeadAttention mha = make_quant_mha(hidden, 4, 73);
-  Rng rng(74);
-  const Matrix x = Matrix::random_normal(hidden, tokens, rng);
-  Matrix y(hidden, tokens);
-
-  ExecContext ctx;
-  const ModelPlan plan(mha, tokens, ctx, /*fuse=*/true, /*share_prep=*/true);
-  for (int i = 0; i < 2; ++i) plan.run(x, y);  // settle the arenas
-  const std::size_t arena_warm = ctx.scratch_heap_allocations();
-  const std::size_t new_warm = g_new_calls.load();
-  for (int rep = 0; rep < 3; ++rep) plan.run(x, y);
-  EXPECT_EQ(ctx.scratch_heap_allocations(), arena_warm);
-  EXPECT_EQ(g_new_calls.load(), new_warm);
-}
-
-}  // namespace
-}  // namespace biq::nn

@@ -191,40 +191,6 @@ TEST(InferenceServer, PaddedBucketsMatchSameWidthSerialPlansBitwise) {
   EXPECT_EQ(server.stats().requests, 7u);
 }
 
-TEST(InferenceServer, ServedResultsMatchShareOffPlansBitwise) {
-  // The PlanPool compiles its bucket plans with activation-prep sharing
-  // on (the ModelPlan default); every served result must nonetheless be
-  // bitwise identical to a share_prep=off serial plan at the served
-  // bucket width — sharing moves the artifact build, never a bit of
-  // output, so it is invisible to serving clients.
-  ExecContext build_ctx;
-  const Sequential mlp = make_mlp(2, build_ctx);
-
-  ServeConfig cfg;
-  cfg.max_batch = 8;
-  cfg.workers = 2;
-  cfg.max_wait = std::chrono::microseconds(0);  // dispatch immediately
-  InferenceServer server(mlp, cfg);
-
-  ExecContext ref_ctx;
-  Rng rng(77);
-  for (const std::size_t w : {1u, 2u, 3u, 5u, 8u}) {
-    const Matrix x = Matrix::random_normal(kIn, w, rng);
-    Matrix y(kOut, w);
-    server.infer(x.view(), y.view());  // alone -> bucket_for(w), cols [0, w)
-
-    const std::size_t bucket = bucket_for(w);
-    Matrix xref(kIn, bucket);
-    nn::copy_into(x.view(), xref.col_block(0, w));
-    Matrix yref(kOut, bucket);
-    const ModelPlan plan(mlp, bucket, ref_ctx, /*fuse=*/true,
-                         /*share_prep=*/false);
-    plan.run(xref, yref);
-    EXPECT_TRUE(bitwise_equal(y.view(), yref.col_block(0, w)))
-        << "width " << w << " in bucket " << bucket;
-  }
-}
-
 TEST(InferenceServer, ConcurrentSubmittersMatchEagerBitwise) {
   // Several submitter threads flood a coalescing 2-worker server: every
   // request's output must be bitwise identical to the eager forward of

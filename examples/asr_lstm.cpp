@@ -1,6 +1,7 @@
 // LAS-style ASR encoder workload (paper Sec. II-C): bi-directional LSTM
-// layers whose per-step projections are large GEMVs — the b == 1 regime
-// where BiQGEMM shines. Runs a scaled LAS encoder stack fp32 vs
+// layers whose recurrent projections are large per-step GEMVs — the
+// b == 1 regime where BiQGEMM shines — while the input projections run
+// as batched LUT GEMMs over 16-frame chunks. Runs a scaled LAS encoder stack fp32 vs
 // quantized and reports hidden-state deviation, memory and latency.
 //
 //   $ ./asr_lstm [frames] [input_dim] [hidden] [bits]
@@ -24,10 +25,11 @@ int main(int argc, char** argv) {
               "path, scaled to laptop size)\n\n",
               frames, input_dim, hidden);
 
-  // One context + one whole-model plan per model: the per-step GEMV
-  // plans of both directions are frozen once and every step temporary
-  // (gate pre-activations, h/c state) lives in one liveness-packed
-  // arena, so the timed utterances run the warm zero-allocation path.
+  // One context + one whole-model plan per model: the chunk GEMM and
+  // per-step GEMV plans of both directions are frozen once and every
+  // scan temporary (chunk projections, gate pre-activations, h/c state)
+  // lives in one liveness-packed arena, so the timed utterances run the
+  // warm zero-allocation path.
   constexpr std::uint64_t kSeedFw = 31, kSeedBw = 32;
   biq::ExecContext fp_ctx, q_ctx;
   const biq::nn::BiLstm fp(
@@ -69,8 +71,9 @@ int main(int argc, char** argv) {
                  biq::TablePrinter::fmt(t_q.median * 1e3, 2),
                  biq::TablePrinter::fmt(t_q.median * 1e3 / frames, 3)});
   std::printf("%s\n", table.to_markdown().c_str());
-  std::printf("Every LSTM step issues two batch-1 BiQGEMM calls (input and\n"
-              "recurrent projections) — the memory-bound GEMV regime of the\n"
-              "paper's Table IV, where the LUT kernel wins most.\n");
+  std::printf("Every LSTM step issues one batch-1 BiQGEMM call (the recurrent\n"
+              "projection) — the memory-bound GEMV regime of the paper's\n"
+              "Table IV, where the LUT kernel wins most; the input projection\n"
+              "runs once per 16 frames as a full-lane batched LUT GEMM.\n");
   return 0;
 }

@@ -36,22 +36,23 @@ struct Scratch {
 };
 
 /// Stages x sub-vectors for tables [t0, t0+tcount) x columns
-/// [c0, c0+lanes) into the interleaved layout xt[(g*mu+j)*lanes + lane],
-/// zero-padding rows past n (the tail-group guarantee).
-void stage_x_tile(ConstMatrixView x, std::size_t c0, std::size_t lanes,
-                  std::size_t t0, std::size_t tcount, unsigned mu, float* xt) {
+/// [c0, c0+cols) into the interleaved layout xt[(g*mu+j)*lanes + lane],
+/// zero-padding rows past n (the tail-group guarantee) and lanes
+/// [cols, lanes) (the pad columns of a partial batch tile, so every tile
+/// runs the full-width builders and query).
+void stage_x_tile(ConstMatrixView x, std::size_t c0, std::size_t cols,
+                  std::size_t lanes, std::size_t t0, std::size_t tcount,
+                  unsigned mu, float* xt) {
   const std::size_t n = x.rows();
   for (std::size_t g = 0; g < tcount; ++g) {
     for (unsigned j = 0; j < mu; ++j) {
       const std::size_t row = (t0 + g) * mu + j;
       float* dst = xt + (g * mu + j) * lanes;
+      std::size_t lane = 0;
       if (row < n) {
-        for (std::size_t lane = 0; lane < lanes; ++lane) {
-          dst[lane] = x(row, c0 + lane);
-        }
-      } else {
-        for (std::size_t lane = 0; lane < lanes; ++lane) dst[lane] = 0.0f;
+        for (; lane < cols; ++lane) dst[lane] = x(row, c0 + lane);
       }
+      for (; lane < lanes; ++lane) dst[lane] = 0.0f;
     }
   }
 }
@@ -70,8 +71,8 @@ struct KernelArgs {
   const EpilogueOp* ep;     // fused output transform (may be empty)
   /// Non-null = shared-prep consume: the full LUT artifact, batch tile t
   /// at prep + t * ntables * 2^mu * plan.lanes, table g of a chunk at
-  /// chunk_base + g * 2^mu * lanes (the layout build_tile emits). x is
-  /// then unused and the stage/build phases are skipped.
+  /// chunk_base + g * 2^mu * plan.lanes (the layout build_tile emits).
+  /// x is then unused and the stage/build phases are skipped.
   const float* prep = nullptr;
 };
 
@@ -88,12 +89,16 @@ void build_tile(const engine::BiqKernels& kernels, const float* xt, float* lut,
   }
 }
 
-/// `row_ctx` non-null parallelizes the query phase over output-row
-/// blocks through the shared partitioner (the small-batch regime);
-/// null keeps the tile on one worker (the tile-parallel regime).
+/// One full-width batch tile holding the `cols` real columns starting
+/// at c0 (cols < plan.lanes only for the last tile, whose pad lanes are
+/// zero). `row_ctx` non-null parallelizes the query phase over
+/// output-row blocks through the shared partitioner (the small-batch
+/// regime); null keeps the tile on one worker (the tile-parallel
+/// regime).
 template <typename KeyT>
-void run_one_batch_tile(const KernelArgs& a, std::size_t c0, std::size_t lanes,
+void run_one_batch_tile(const KernelArgs& a, std::size_t c0, std::size_t cols,
                         Scratch& scratch, ExecContext* row_ctx) {
+  const std::size_t lanes = a.plan.lanes;
   float* ytile = scratch.ytile;
 
   {
@@ -109,7 +114,6 @@ void run_one_batch_tile(const KernelArgs& a, std::size_t c0, std::size_t lanes,
   q.mu = a.mu;
   q.lut = scratch.lut;
   q.ytile = ytile;
-  q.lanes = lanes;
   const auto query_fn = sizeof(KeyT) == 1 ? a.kernels->query_tile_u8
                                           : a.kernels->query_tile_u16;
 
@@ -117,7 +121,7 @@ void run_one_batch_tile(const KernelArgs& a, std::size_t c0, std::size_t lanes,
   const float* prep_block =
       a.prep == nullptr
           ? nullptr
-          : a.prep + (c0 / a.plan.lanes) * a.ntables * entries * a.plan.lanes;
+          : a.prep + (c0 / lanes) * a.ntables * entries * lanes;
 
   for (std::size_t t0 = 0; t0 < a.ntables; t0 += a.plan.tables_per_tile) {
     const std::size_t tcount = std::min(a.plan.tables_per_tile, a.ntables - t0);
@@ -125,7 +129,7 @@ void run_one_batch_tile(const KernelArgs& a, std::size_t c0, std::size_t lanes,
     if (a.prep == nullptr) {
       {
         Stopwatch w;
-        stage_x_tile(a.x, c0, lanes, t0, tcount, a.mu, scratch.xt);
+        stage_x_tile(a.x, c0, cols, lanes, t0, tcount, a.mu, scratch.xt);
         if (a.profile) a.profile->replace_seconds += w.elapsed_seconds();
       }
       {
@@ -164,19 +168,19 @@ void run_one_batch_tile(const KernelArgs& a, std::size_t c0, std::size_t lanes,
 
   {
     Stopwatch w;
-    // Write-back from the interleaved tile into y columns — the moment
-    // the tile is complete and still hot. The fused epilogue merges into
-    // the de-interleave itself (the bias add — and, for activation-free
-    // epilogues, the residual add — ride the copy's store), so fusion
-    // costs no extra pass over y; an unfused plan pays those terms as
-    // separate re-streaming passes afterwards.
+    // Write-back of the real columns from the interleaved tile into y —
+    // the moment the tile is complete and still hot; pad lanes are
+    // dropped here. The fused epilogue merges into the de-interleave
+    // itself (the bias add — and, for activation-free epilogues, the
+    // residual add — ride the copy's store), so fusion costs no extra
+    // pass over y.
     if (a.ep->empty()) {
-      for (std::size_t lane = 0; lane < lanes; ++lane) {
+      for (std::size_t lane = 0; lane < cols; ++lane) {
         float* ycol = a.y.col(c0 + lane);
         for (std::size_t i = 0; i < a.m; ++i) ycol[i] = ytile[i * lanes + lane];
       }
     } else {
-      a.ep->apply_interleaved(a.y, ytile, a.m, lanes, c0);
+      a.ep->apply_interleaved(a.y, ytile, a.m, lanes, c0, cols);
     }
     if (a.profile) a.profile->replace_seconds += w.elapsed_seconds();
   }
@@ -185,8 +189,8 @@ void run_one_batch_tile(const KernelArgs& a, std::size_t c0, std::size_t lanes,
 template <typename KeyT>
 void run_kernel(const KernelArgs& args, ExecContext& ctx) {
   const std::size_t b = args.b;
-  const std::size_t lanes_max = args.plan.lanes;
-  const std::size_t ntiles = (b + lanes_max - 1) / lanes_max;
+  const std::size_t lanes = args.plan.lanes;
+  const std::size_t ntiles = (b + lanes - 1) / lanes;
 
   // Orchestration (prewarm -> dynamic batch-tile queue -> row-split
   // fallback) lives in the shared driver; this kernel contributes only
@@ -198,22 +202,23 @@ void run_kernel(const KernelArgs& args, ExecContext& ctx) {
                        /*build=*/args.prep == nullptr);
       },
       [&](Scratch& scratch, std::size_t t, ExecContext* row_ctx) {
-        const std::size_t c0 = t * lanes_max;
-        run_one_batch_tile<KeyT>(args, c0, std::min(lanes_max, b - c0),
-                                 scratch, row_ctx);
+        const std::size_t c0 = t * lanes;
+        run_one_batch_tile<KeyT>(args, c0, std::min(lanes, b - c0), scratch,
+                                 row_ctx);
       });
 }
 
 /// Builds the full batched LUT artifact (every batch tile's interleaved
-/// tables) into `prep`, layout as documented on KernelArgs::prep. Uses
-/// the same stage_x_tile/build_tile bodies as the fused path, so table
-/// contents are bitwise what execute would stream chunk by chunk.
+/// tables, pad lanes included) into `prep`, layout as documented on
+/// KernelArgs::prep. Uses the same stage_x_tile/build_tile bodies as the
+/// fused path, so table contents are bitwise what execute would stream
+/// chunk by chunk.
 void run_prepare_kernel(ConstMatrixView x, float* prep, std::size_t ntables,
                         unsigned mu, bool use_dp, const TilePlan& plan,
                         const engine::BiqKernels& kernels, ExecContext& ctx) {
   const std::size_t b = x.cols();
-  const std::size_t lanes_max = plan.lanes;
-  const std::size_t ntiles = (b + lanes_max - 1) / lanes_max;
+  const std::size_t lanes = plan.lanes;
+  const std::size_t ntiles = (b + lanes - 1) / lanes;
   const std::size_t entries = std::size_t{1} << mu;
   struct PrepScratch {
     float* xt;
@@ -225,13 +230,13 @@ void run_prepare_kernel(ConstMatrixView x, float* prep, std::size_t ntables,
             arena.alloc<float>(plan.tables_per_tile * mu * plan.lanes)};
       },
       [&](PrepScratch& s, std::size_t t, ExecContext* /*row_ctx*/) {
-        const std::size_t c0 = t * lanes_max;
-        const std::size_t lanes = std::min(lanes_max, b - c0);
-        float* block = prep + t * ntables * entries * lanes_max;
+        const std::size_t c0 = t * lanes;
+        const std::size_t cols = std::min(lanes, b - c0);
+        float* block = prep + t * ntables * entries * lanes;
         for (std::size_t t0 = 0; t0 < ntables; t0 += plan.tables_per_tile) {
           const std::size_t tcount = std::min(plan.tables_per_tile,
                                               ntables - t0);
-          stage_x_tile(x, c0, lanes, t0, tcount, mu, s.xt);
+          stage_x_tile(x, c0, cols, lanes, t0, tcount, mu, s.xt);
           build_tile(kernels, s.xt, block + t0 * entries * lanes, tcount, mu,
                      lanes, use_dp);
         }
@@ -251,7 +256,7 @@ class BiqGemmPlan final : public GemmPlan {
       : GemmPlan(engine.name(), engine.rows(), engine.cols(), batch, ctx,
                  epilogue),
         keys_(&keys), alphas_(&alphas), opt_(&opt), kernels_(&kernels),
-        tile_plan_(plan_tiles(engine.rows(), batch, opt, kernels.query_lanes)),
+        tile_plan_(plan_tiles(engine.rows(), opt, kernels.query_lanes)),
         ntables_(table_count(engine.cols(), opt.mu)) {}
 
  private:
@@ -290,11 +295,12 @@ class BiqGemmPlan final : public GemmPlan {
   }
 
   [[nodiscard]] std::size_t do_prep_floats() const noexcept override {
-    // Batch tiles of lanes_max columns each store ntables tables of
-    // 2^mu * lanes entries; only the last tile can be partial, so the
-    // total is exactly tables * entries * batch (batch 1: the flat GEMV
-    // LUT, same formula).
-    return ntables_ * (std::size_t{1} << opt_->mu) * batch();
+    // Every batch tile stores ntables tables of 2^mu * lanes entries,
+    // the padded last tile included, so the artifact covers the batch
+    // rounded up to a lane multiple (batch 1: the flat GEMV LUT).
+    const std::size_t lanes = batch() == 1 ? 1 : tile_plan_.lanes;
+    const std::size_t padded = (batch() + lanes - 1) / lanes * lanes;
+    return ntables_ * (std::size_t{1} << opt_->mu) * padded;
   }
 
   void do_prepare(ConstMatrixView x, float* prep) const override {

@@ -11,17 +11,19 @@
 namespace biq {
 namespace {
 
-/// Stages x rows [t0*mu, (t0+tcount)*mu) x columns [c0, c0+lanes) into
-/// the interleaved layout, zero-padded past n.
-void stage_x(ConstMatrixView x, std::size_t c0, std::size_t lanes,
-             std::size_t t0, std::size_t tcount, unsigned mu, float* xt) {
+/// Stages x rows [t0*mu, (t0+tcount)*mu) x columns [c0, c0+cols) into
+/// the interleaved layout, zero-padded past n and in the pad lanes
+/// [cols, lanes) of a partial batch tile.
+void stage_x(ConstMatrixView x, std::size_t c0, std::size_t cols,
+             std::size_t lanes, std::size_t t0, std::size_t tcount,
+             unsigned mu, float* xt) {
   const std::size_t n = x.rows();
   for (std::size_t g = 0; g < tcount; ++g) {
     for (unsigned j = 0; j < mu; ++j) {
       const std::size_t row = (t0 + g) * mu + j;
       float* dst = xt + (g * mu + j) * lanes;
       for (std::size_t lane = 0; lane < lanes; ++lane) {
-        dst[lane] = row < n ? x(row, c0 + lane) : 0.0f;
+        dst[lane] = row < n && lane < cols ? x(row, c0 + lane) : 0.0f;
       }
     }
   }
@@ -80,9 +82,8 @@ class GroupedPlan final : public GemmPlan {
         num_groups_(num_groups), tables_per_group_(tables_per_group),
         mu_(opt.mu), row_block_(opt.row_block),
         ntables_(table_count(engine.cols(), opt.mu)),
-        entries_(std::size_t{1} << opt.mu),
-        lanes_max_(std::min<std::size_t>(kernels.query_lanes,
-                                         std::max<std::size_t>(batch, 1))) {}
+        entries_(std::size_t{1} << opt.mu), lanes_(kernels.query_lanes),
+        ntiles_((batch + lanes_ - 1) / lanes_) {}
 
  private:
   // One scratch layout shared by the real tiles and the arena pre-warm,
@@ -101,7 +102,7 @@ class GroupedPlan final : public GemmPlan {
   [[nodiscard]] PrepKey do_prep_key() const noexcept override {
     // Same "biq-lut" artifact family (and tile/table layout) as the
     // plain engine's batched path: interleaved build_dp tables over
-    // lanes_max_-column batch tiles. A plain dp-builder plan with equal
+    // full-width (padded) batch tiles. A plain dp-builder plan with equal
     // mu/lanes/plane therefore shares preps with a grouped plan — the
     // group structure only changes how tables are CHUNKED at query
     // time, never their contents or placement.
@@ -110,41 +111,40 @@ class GroupedPlan final : public GemmPlan {
     key.cols = cols();
     key.batch = batch();
     key.p0 = mu_;
-    key.p1 = static_cast<std::uint32_t>(lanes_max_);
+    key.p1 = static_cast<std::uint32_t>(lanes_);
     key.p2 = 2u;  // interleaved kernel build_dp
     key.plane = kernels_;
     return key;
   }
 
   [[nodiscard]] std::size_t do_prep_floats() const noexcept override {
-    return ntables_ * entries_ * batch();
+    return ntables_ * entries_ * ntiles_ * lanes_;
   }
 
   void do_prepare(ConstMatrixView x, float* prep) const override {
     const std::size_t b = batch();
-    const std::size_t ntiles = (b + lanes_max_ - 1) / lanes_max_;
     struct PrepScratch {
       float* xt;
     };
     engine::drive_batch_tiles(
-        context(), ntiles,
+        context(), ntiles_,
         [&](ScratchArena& arena) {
           return PrepScratch{
-              arena.alloc<float>(tables_per_group_ * mu_ * lanes_max_)};
+              arena.alloc<float>(tables_per_group_ * mu_ * lanes_)};
         },
         [&](PrepScratch& s, std::size_t t, ExecContext* /*row_ctx*/) {
-          const std::size_t c0 = t * lanes_max_;
-          const std::size_t lanes = std::min(lanes_max_, b - c0);
-          float* block = prep + t * ntables_ * entries_ * lanes_max_;
+          const std::size_t c0 = t * lanes_;
+          const std::size_t cols = std::min(lanes_, b - c0);
+          float* block = prep + t * ntables_ * entries_ * lanes_;
           for (std::size_t group = 0; group < num_groups_; ++group) {
             const std::size_t t0 = group * tables_per_group_;
             if (t0 >= ntables_) break;
             const std::size_t tcount = std::min(tables_per_group_,
                                                 ntables_ - t0);
-            stage_x(x, c0, lanes, t0, tcount, mu_, s.xt);
+            stage_x(x, c0, cols, lanes_, t0, tcount, mu_, s.xt);
             for (std::size_t g = 0; g < tcount; ++g) {
-              kernels_->build_dp(s.xt + g * mu_ * lanes, mu_, lanes,
-                                 block + (t0 + g) * entries_ * lanes);
+              kernels_->build_dp(s.xt + g * mu_ * lanes_, mu_, lanes_,
+                                 block + (t0 + g) * entries_ * lanes_);
             }
           }
         });
@@ -159,31 +159,28 @@ class GroupedPlan final : public GemmPlan {
                 const EpilogueOp& ep) const {
     const std::size_t b = batch();
     const std::size_t m = rows();
-    const std::size_t ntiles = (b + lanes_max_ - 1) / lanes_max_;
     const auto query_fn =
         mu_ > 8 ? kernels_->query_tile_u16 : kernels_->query_tile_u8;
 
     engine::drive_batch_tiles(
-        context(), ntiles,
+        context(), ntiles_,
         [&](ScratchArena& arena) {
           return Scratch{
               prep == nullptr
-                  ? arena.alloc<float>(tables_per_group_ * mu_ * lanes_max_)
+                  ? arena.alloc<float>(tables_per_group_ * mu_ * lanes_)
                   : nullptr,
               prep == nullptr
-                  ? arena.alloc<float>(tables_per_group_ * entries_ *
-                                       lanes_max_)
+                  ? arena.alloc<float>(tables_per_group_ * entries_ * lanes_)
                   : nullptr,
-              arena.alloc<float>(m * lanes_max_)};
+              arena.alloc<float>(m * lanes_)};
         },
         [&](Scratch& s, std::size_t t, ExecContext* row_ctx) {
-          const std::size_t c0 = t * lanes_max_;
-          const std::size_t lanes = std::min(lanes_max_, b - c0);
+          const std::size_t c0 = t * lanes_;
+          const std::size_t cols = std::min(lanes_, b - c0);
           const float* block =
-              prep == nullptr
-                  ? nullptr
-                  : prep + t * ntables_ * entries_ * lanes_max_;
-          std::fill(s.ytile, s.ytile + m * lanes, 0.0f);
+              prep == nullptr ? nullptr
+                              : prep + t * ntables_ * entries_ * lanes_;
+          std::fill(s.ytile, s.ytile + m * lanes_, 0.0f);
 
           engine::QueryTileArgs q;
           q.keys = keys_->data();
@@ -193,7 +190,6 @@ class GroupedPlan final : public GemmPlan {
           q.mu = mu_;
           q.lut = s.lut;
           q.ytile = s.ytile;
-          q.lanes = lanes;
 
           for (std::size_t group = 0; group < num_groups_; ++group) {
             const std::size_t t0 = group * tables_per_group_;
@@ -202,13 +198,13 @@ class GroupedPlan final : public GemmPlan {
                                                 ntables_ - t0);
 
             if (prep == nullptr) {
-              stage_x(x, c0, lanes, t0, tcount, mu_, s.xt);
+              stage_x(x, c0, cols, lanes_, t0, tcount, mu_, s.xt);
               for (std::size_t g = 0; g < tcount; ++g) {
-                kernels_->build_dp(s.xt + g * mu_ * lanes, mu_, lanes,
-                                   s.lut + g * entries_ * lanes);
+                kernels_->build_dp(s.xt + g * mu_ * lanes_, mu_, lanes_,
+                                   s.lut + g * entries_ * lanes_);
               }
             } else {
-              q.lut = block + t0 * entries_ * lanes;
+              q.lut = block + t0 * entries_ * lanes_;
             }
 
             q.t0 = t0;
@@ -230,18 +226,19 @@ class GroupedPlan final : public GemmPlan {
             }
           }
 
-          // Tile write-back — the fused epilogue merges into the
-          // de-interleave itself (see EpilogueOp::apply_interleaved), so
-          // fusion costs no extra pass over y.
+          // Write-back of the real columns (pad lanes dropped) — the
+          // fused epilogue merges into the de-interleave itself (see
+          // EpilogueOp::apply_interleaved), so fusion costs no extra pass
+          // over y.
           if (ep.empty()) {
-            for (std::size_t lane = 0; lane < lanes; ++lane) {
+            for (std::size_t lane = 0; lane < cols; ++lane) {
               float* ycol = y.col(c0 + lane);
               for (std::size_t i = 0; i < m; ++i) {
-                ycol[i] = s.ytile[i * lanes + lane];
+                ycol[i] = s.ytile[i * lanes_ + lane];
               }
             }
           } else {
-            ep.apply_interleaved(y, s.ytile, m, lanes, c0);
+            ep.apply_interleaved(y, s.ytile, m, lanes_, c0, cols);
           }
         });
   }
@@ -256,7 +253,8 @@ class GroupedPlan final : public GemmPlan {
   std::size_t row_block_;
   std::size_t ntables_;
   std::size_t entries_;
-  std::size_t lanes_max_;
+  std::size_t lanes_;   // every batch tile is full width (pad lanes zero)
+  std::size_t ntiles_;
 };
 
 }  // namespace

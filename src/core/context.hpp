@@ -54,7 +54,11 @@ struct BiqGemmOptions {
   BiqGemmProfile* profile = nullptr;
 };
 
-/// Resolved tiling geometry for one (shape, options) pair.
+/// Resolved tiling geometry for one (shape, options) pair. Every batch
+/// tile is `lanes` columns wide, including the last one: a batch width
+/// that is not a lane multiple is staged with zero pad columns and only
+/// the real columns are written back. Lanes never mix, so a column's
+/// result does not depend on the batch width or on its tile position.
 struct TilePlan {
   std::size_t lanes = 8;            // batch columns per tile (vector width)
   std::size_t tables_per_tile = 4;  // LUT tile height
@@ -62,12 +66,12 @@ struct TilePlan {
 };
 
 /// Derives the plan: lanes = the *runtime-dispatched* vector width of
-/// the selected kernel plane (clamped to b), tile height from the byte
-/// budget (at least 1), row_block clamped to [16, m]. Callers that
-/// already hold their resolved kernel table (BiqGemm) pass its
-/// query_lanes as `lanes_hint`; 0 resolves the plane from opt.isa.
-[[nodiscard]] TilePlan plan_tiles(std::size_t m, std::size_t b,
-                                  const BiqGemmOptions& opt,
+/// the selected kernel plane (never clamped to b — partial tiles are
+/// padded), tile height from the byte budget (at least 1), row_block
+/// clamped to [16, m]. Callers that already hold their resolved kernel
+/// table (BiqGemm) pass its query_lanes as `lanes_hint`; 0 resolves the
+/// plane from opt.isa.
+[[nodiscard]] TilePlan plan_tiles(std::size_t m, const BiqGemmOptions& opt,
                                   std::size_t lanes_hint = 0);
 
 }  // namespace biq

@@ -138,10 +138,6 @@ inline constexpr std::size_t kQueryLanes = 8;
 
 #endif  // __AVX512F__
 
-// Widest batch-tile lane count any plane uses; sizes the generic-lane
-// fallback's accumulator (partial tiles have lanes < kQueryLanes).
-inline constexpr std::size_t kMaxQueryLanes = 16;
-
 // --------------------------------------------------- LUT builders (Fig. 4)
 // Interleaved DP builder (Algorithm 1): entry layout lut[k*lanes + lane].
 void build_dp(const float* xt, unsigned mu, std::size_t lanes, float* lut) {
@@ -172,7 +168,9 @@ void build_dp(const float* xt, unsigned mu, std::size_t lanes, float* lut) {
     return;
   }
 
-  // Generic lane count (partial batch tiles).
+  // Generic lane count (the public interleaved builders of
+  // core/lut_builder.hpp accept any width; the engines always pass
+  // kQueryLanes).
   for (std::size_t lane = 0; lane < lanes; ++lane) {
     float sum = 0.0f;
     for (unsigned j = 0; j < mu; ++j) sum += xt[j * lanes + lane];
@@ -234,10 +232,12 @@ const KeyT* key_row(const KeyMatrix& k, std::size_t i) noexcept {
   }
 }
 
-/// Full-width vector query (8 lanes, 16 on AVX-512): LUT entries are
-/// vector-aligned, two independent accumulator chains hide load latency.
+/// Batched query over one full-width tile (8 lanes, 16 on AVX-512 —
+/// the engines pad partial batch tiles, so no other width exists): LUT
+/// entries are vector-aligned, two independent accumulator chains hide
+/// load latency, and every lane accumulates on its own.
 template <typename KeyT>
-void query_tile_vec(const QueryTileArgs& a) {
+void query_tile(const QueryTileArgs& a) {
   constexpr std::size_t W = kQueryLanes;
   const bool scaled = a.alphas != nullptr;
   for (std::size_t i = a.i0; i < a.i1; ++i) {
@@ -265,40 +265,6 @@ void query_tile_vec(const QueryTileArgs& a) {
       }
     }
     yv.store(yrow);
-  }
-}
-
-/// Generic-lane query for partial batch tiles (lanes < kQueryLanes).
-template <typename KeyT>
-void query_tile_any(const QueryTileArgs& a) {
-  const bool scaled = a.alphas != nullptr;
-  float acc[kMaxQueryLanes];
-  for (std::size_t i = a.i0; i < a.i1; ++i) {
-    float* yrow = a.ytile + i * a.lanes;
-    for (std::size_t q = 0; q < a.num_planes; ++q) {
-      const KeyT* krow = key_row<KeyT>(a.keys[q], i) + a.t0;
-      for (std::size_t lane = 0; lane < a.lanes; ++lane) acc[lane] = 0.0f;
-      for (std::size_t g = 0; g < a.tcount; ++g) {
-        const float* entry = a.lut + ((g << a.mu) + krow[g]) * a.lanes;
-        for (std::size_t lane = 0; lane < a.lanes; ++lane) {
-          acc[lane] += entry[lane];
-        }
-      }
-      const float s =
-          scaled ? a.alphas[q][i * a.alpha_stride + a.alpha_offset] : 1.0f;
-      for (std::size_t lane = 0; lane < a.lanes; ++lane) {
-        yrow[lane] += s * acc[lane];
-      }
-    }
-  }
-}
-
-template <typename KeyT>
-void query_tile(const QueryTileArgs& a) {
-  if (a.lanes == kQueryLanes) {
-    query_tile_vec<KeyT>(a);
-  } else {
-    query_tile_any<KeyT>(a);
   }
 }
 

@@ -48,10 +48,11 @@ struct QueryTileArgs {
   std::size_t t0 = 0;      // first table of the tile (key-column offset)
   std::size_t tcount = 0;  // tables in the tile
   unsigned mu = 0;
+  // Tiles are always the plane's full query_lanes wide (engines pad a
+  // partial batch tile with zero columns).
   const float* lut = nullptr;  // tile base; entry k of table g at
-                               // lut[((g << mu) + k) * lanes]
-  float* ytile = nullptr;      // rows x lanes accumulator, row-major
-  std::size_t lanes = 0;
+                               // lut[((g << mu) + k) * query_lanes]
+  float* ytile = nullptr;      // rows x query_lanes accumulator, row-major
   std::size_t i0 = 0, i1 = 0;  // output-row range [i0, i1)
 };
 
@@ -68,7 +69,8 @@ struct BiqKernels {
                    float* lut) = nullptr;
   void (*build_mm)(const float* xt, unsigned mu, std::size_t lanes,
                    float* lut) = nullptr;
-  /// Batched query over one LUT tile, 8-bit / 16-bit key storage.
+  /// Batched query over one full-width LUT tile, 8-bit / 16-bit key
+  /// storage.
   void (*query_tile_u8)(const QueryTileArgs&) = nullptr;
   void (*query_tile_u16)(const QueryTileArgs&) = nullptr;
   /// GEMV query: sum of LUT hits of one key row over tables [0, tcount),

@@ -110,19 +110,20 @@ class ExecContext {
   ExecContext(const ExecContext&) = delete;
   ExecContext& operator=(const ExecContext&) = delete;
 
-  /// Teardown-ordering guard: a live model block here means a ModelPlan
+  /// Teardown-ordering guard: a live model plan here means a ModelPlan
   /// (or a plan cache / pool holding one) outlives this context — that
-  /// plan's destructor would call free_model_block on a dead context, a
+  /// plan's destructor would call detach_model_plan on a dead context, a
   /// use-after-free. Fail loudly at the earlier, still-defined point
   /// instead of corrupting memory later: destroy plans (and the caches,
   /// pools and servers that own them) BEFORE their ExecContext.
   ~ExecContext() {
-    if (!model_blocks_.empty()) {
+    if (model_plans_ != 0) {
       std::fprintf(stderr,
-                   "ExecContext destroyed with %zu live model block(s): a "
-                   "ModelPlan outlived its ExecContext; destroy plans (and "
-                   "plan caches/pools) before the context they bind to\n",
-                   model_blocks_.size());
+                   "ExecContext destroyed with a live model block (%zu "
+                   "ModelPlan(s) attached): a ModelPlan outlived its "
+                   "ExecContext; destroy plans (and plan caches/pools) "
+                   "before the context they bind to\n",
+                   model_plans_);
       std::abort();
     }
   }
@@ -150,35 +151,33 @@ class ExecContext {
   }
 
   /// Model-scope activation storage for whole-model plans
-  /// (nn::ModelPlan): one block per compiled plan, sized by the
-  /// liveness planner at plan time and returned by the plan's
-  /// destructor — a block's lifetime exactly equals its plan's, so
-  /// batch-varying replan traffic cannot grow the context unboundedly
-  /// and there is no whole-context reclaim to misuse. Blocks are
-  /// kDefaultAlignment-aligned and stable: allocating or freeing one
-  /// never moves another. Like plan compilation itself, these are
-  /// control-path calls — one caller at a time per context.
-  [[nodiscard]] float* alloc_model_block(std::size_t floats) {
-    model_blocks_.emplace_back(floats);
-    return model_blocks_.back().data();
-  }
-  void free_model_block(const float* block) noexcept {
-    for (std::size_t i = 0; i < model_blocks_.size(); ++i) {
-      if (model_blocks_[i].data() == block) {
-        model_blocks_[i] = std::move(model_blocks_.back());
-        model_blocks_.pop_back();
-        return;
-      }
+  /// (nn::ModelPlan): ONE block shared by every plan compiled on this
+  /// context, grown at plan time to the largest arena attached since the
+  /// block was last released — the max of the plans' arenas, not their
+  /// sum (it does not shrink when a large plan goes before the others).
+  /// Sharing is safe because a context runs one call at a time and a
+  /// plan's arena carries nothing from one run to the next (each run
+  /// writes every slot before reading it). Plans read the base through
+  /// model_block() at run time, so a later, larger plan may move the
+  /// block without stranding earlier ones. attach/detach bracket a
+  /// plan's lifetime; the block is released when the last plan detaches.
+  /// Like plan compilation itself, these are control-path calls — one
+  /// caller at a time per context, never while a plan on it runs.
+  void attach_model_plan(std::size_t floats) {
+    if (floats > model_block_.size()) {
+      model_block_ = AlignedBuffer<float>(floats);
     }
+    ++model_plans_;
   }
-  /// Bytes of live model blocks — the activation footprint of every
+  void detach_model_plan() noexcept {
+    if (--model_plans_ == 0) model_block_ = AlignedBuffer<float>();
+  }
+  /// Base of the shared block (nullptr while no plan needs one).
+  [[nodiscard]] float* model_block() noexcept { return model_block_.data(); }
+  /// Bytes of the shared block — the activation footprint of every
   /// currently-compiled plan on this context.
   [[nodiscard]] std::size_t model_block_bytes() const noexcept {
-    std::size_t total = 0;
-    for (const AlignedBuffer<float>& b : model_blocks_) {
-      total += b.size_bytes();
-    }
-    return total;
+    return model_block_.size_bytes();
   }
 
   /// The serial per-thread context behind the 2-arg GemmEngine::run
@@ -190,7 +189,8 @@ class ExecContext {
   ThreadPool* pool_ = nullptr;
   KernelIsa isa_ = KernelIsa::kAuto;
   std::vector<ScratchArena> arenas_;  // sized worker_count(), never resized
-  std::vector<AlignedBuffer<float>> model_blocks_;  // one per live ModelPlan
+  AlignedBuffer<float> model_block_;  // shared by every live ModelPlan
+  std::size_t model_plans_ = 0;      // live ModelPlans attached to it
 };
 
 }  // namespace biq

@@ -1,5 +1,6 @@
 #include "nn/lstm.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <stdexcept>
 
@@ -7,6 +8,70 @@
 #include "nn/tensor.hpp"
 
 namespace biq::nn {
+namespace {
+
+/// The one chunk walk every scan, eager or planned, runs over a
+/// `frames`-long sequence: chunk k covers frames [16k, 16k + width),
+/// width kScanChunk except the last, which takes the remainder (a
+/// 1-frame remainder joins the chunk before it). In scan order —
+/// chunks and the frames inside them last to first when `reverse` —
+/// it calls project(first frame, width) once per chunk, then
+/// step(frame, column of the frame within its chunk) per frame.
+template <typename Project, typename Step>
+void scan_chunks(std::size_t frames, bool reverse, Project&& project,
+                 Step&& step) {
+  const std::size_t nchunks =
+      frames == 0 ? 0
+                  : std::max<std::size_t>(
+                        1, (frames + kScanChunk - 2) / kScanChunk);
+  for (std::size_t i = 0; i < nchunks; ++i) {
+    const std::size_t k = reverse ? nchunks - 1 - i : i;
+    const std::size_t s0 = k * kScanChunk;
+    const std::size_t width = k + 1 == nchunks ? frames - s0 : kScanChunk;
+    project(s0, width);
+    for (std::size_t j = 0; j < width; ++j) {
+      const std::size_t col = reverse ? width - 1 - j : j;
+      step(s0 + col, col);
+    }
+  }
+}
+
+/// Widest chunk scan_chunks cuts a `frames`-long sequence into.
+std::size_t widest_chunk(std::size_t frames) {
+  std::size_t widest = 0;
+  scan_chunks(frames, false,
+              [&](std::size_t, std::size_t w) { widest = std::max(widest, w); },
+              [](std::size_t, std::size_t) {});
+  return widest;
+}
+
+/// Eager scan of a whole sequence, x: in x T -> h_out: h x T, from zero
+/// state; reverse runs t = T-1 .. 0. The reference the frozen ScanPlan
+/// replays bitwise: same chunks, same arithmetic, through the layers'
+/// own eager forwards.
+void eager_scan(const LstmCell& cell, ConstMatrixView x, MatrixView h_out,
+                bool reverse) {
+  const std::size_t hidden = cell.hidden_size();
+  const std::size_t frames = x.cols();
+  Matrix gx(4 * hidden, widest_chunk(frames), /*zero_fill=*/false);
+  Matrix gh(4 * hidden, 1, /*zero_fill=*/false);
+  std::vector<float> h(hidden, 0.0f), c(hidden, 0.0f);
+  const ConstMatrixView hin(h.data(), hidden, 1, hidden);
+  scan_chunks(
+      frames, reverse,
+      [&](std::size_t s0, std::size_t width) {
+        cell.wx().forward(x.col_block(s0, width), gx.col_block(0, width));
+      },
+      [&](std::size_t t, std::size_t col) {
+        cell.wh().forward(hin, gh);
+        cell.combine_preactivations(gx.col(col), gh.col(0));
+        cell.apply_gates(gh.col(0), h.data(), c.data());
+        float* out = h_out.col(t);
+        for (std::size_t i = 0; i < hidden; ++i) out[i] = h[i];
+      });
+}
+
+}  // namespace
 
 LstmCell::LstmCell(std::unique_ptr<LinearLayer> input_proj,
                    std::unique_ptr<LinearLayer> recurrent_proj,
@@ -60,16 +125,24 @@ void LstmCell::apply_gates(const float* pre, float* h,
 }
 
 LstmCell::ScanPlan LstmCell::plan_scan(ModulePlanContext& mpc) const {
+  const std::size_t frames = mpc.batch();
   ScanPlan p;
   p.cell_ = this;
-  p.sgx_ = mpc.acquire(4 * hidden_, 1);
+  p.sgx_ = mpc.acquire(4 * hidden_, widest_chunk(frames));
   p.sgh_ = mpc.acquire(4 * hidden_, 1);
   p.sh_ = mpc.acquire(hidden_, 1);
   p.sc_ = mpc.acquire(hidden_, 1);
-  p.wx_ = LinearPlan(*wx_, 1, mpc.exec());
+  scan_chunks(
+      frames, false,
+      [&](std::size_t, std::size_t width) {
+        LinearPlan& plan = width == kScanChunk ? p.wx_chunk_ : p.wx_tail_;
+        if (plan.batch() != width) plan = LinearPlan(*wx_, width, mpc.exec());
+      },
+      [](std::size_t, std::size_t) {});
   // The recurrent layer carries no bias of its own, so the cell's gate
-  // bias rides its plan as an override, and gx arrives as the run-time
-  // residual: gh = (Wh.h + bias) + gx in the GEMV's epilogue.
+  // bias rides its plan as an override, and the frame's column of the
+  // chunk projection arrives as the run-time residual:
+  // gh = (Wh.h + bias) + gx in the GEMV's epilogue.
   LinearFusion fusion;
   fusion.residual = true;
   fusion.bias = &bias_;
@@ -92,17 +165,20 @@ void LstmCell::ScanPlan::run(float* base, ConstMatrixView x, MatrixView y,
   const MatrixView c = sc_.view(base);
   h.set_zero();
   c.set_zero();
-  const std::size_t frames = x.cols();
   const std::size_t hidden = cell_->hidden_size();
-  for (std::size_t s = 0; s < frames; ++s) {
-    const std::size_t t = reverse ? frames - 1 - s : s;
-    wx_.run(x.col_block(t, 1), gx);
-    wh_.run(h, gh, gx);  // gh = (Wh.h + bias) + gx, one fused pass
-    cell_->apply_gates(gh.col(0), h.col(0), c.col(0));
-    float* out = y.col(t);
-    const float* hp = h.col(0);
-    for (std::size_t i = 0; i < hidden; ++i) out[i] = hp[i];
-  }
+  scan_chunks(
+      x.cols(), reverse,
+      [&](std::size_t s0, std::size_t width) {
+        wx_for(width).run(x.col_block(s0, width), gx.col_block(0, width));
+      },
+      [&](std::size_t t, std::size_t col) {
+        // gh = (Wh.h + bias) + gx(:, col), one fused pass
+        wh_.run(h, gh, gx.col_block(col, 1));
+        cell_->apply_gates(gh.col(0), h.col(0), c.col(0));
+        float* out = y.col(t);
+        const float* hp = h.col(0);
+        for (std::size_t i = 0; i < hidden; ++i) out[i] = hp[i];
+      });
 }
 
 namespace {
@@ -169,12 +245,7 @@ void Lstm::forward(ConstMatrixView x, MatrixView h_out) const {
       h_out.cols() != x.cols()) {
     throw std::invalid_argument("Lstm::forward: shape mismatch");
   }
-  std::vector<float> h(hidden, 0.0f), c(hidden, 0.0f);
-  for (std::size_t t = 0; t < x.cols(); ++t) {
-    cell_.step(x.col(t), h.data(), c.data());
-    float* out = h_out.col(t);
-    for (std::size_t i = 0; i < hidden; ++i) out[i] = h[i];
-  }
+  eager_scan(cell_, x, h_out, /*reverse=*/false);
 }
 
 void Lstm::forward_reverse(ConstMatrixView x, MatrixView h_out) const {
@@ -183,12 +254,7 @@ void Lstm::forward_reverse(ConstMatrixView x, MatrixView h_out) const {
       h_out.cols() != x.cols()) {
     throw std::invalid_argument("Lstm::forward_reverse: shape mismatch");
   }
-  std::vector<float> h(hidden, 0.0f), c(hidden, 0.0f);
-  for (std::size_t t = x.cols(); t-- > 0;) {
-    cell_.step(x.col(t), h.data(), c.data());
-    float* out = h_out.col(t);
-    for (std::size_t i = 0; i < hidden; ++i) out[i] = h[i];
-  }
+  eager_scan(cell_, x, h_out, /*reverse=*/true);
 }
 
 BiLstm::BiLstm(LstmCell forward_cell, LstmCell backward_cell)

@@ -1,10 +1,13 @@
 // LSTM with pluggable projection engines — the ASR workload of the
 // paper's Sec. II-C (LAS-style bi-directional encoders with (2.5K x 5K)
-// weight matrices). The two big GEMVs per step (input and recurrent
-// projections of all four gates) run through LinearLayer, i.e. as
-// BiQGEMM when quantized; gate non-linearities stay fp32.
+// weight matrices). Both projections of all four gates run through
+// LinearLayer, i.e. as BiQGEMM when quantized; gate non-linearities stay
+// fp32. The input projection does not depend on the recurrence, so a
+// scan runs it as a batched GEMM over chunks of kScanChunk frames; only
+// the recurrent projection is a per-frame GEMV.
 #pragma once
 
+#include <cstddef>
 #include <memory>
 #include <vector>
 
@@ -14,14 +17,25 @@
 
 namespace biq::nn {
 
+/// Frames per input-projection chunk of a scan: one AVX-512 batch tile
+/// or two AVX2 ones, so the chunk GEMM runs full-width LUT tiles. A
+/// 1-frame tail joins the previous chunk (a 17-frame last chunk), so no
+/// frame of a sequence longer than one frame is projected alone by a
+/// GEMV. A constant, not an option: every scan, eager or planned,
+/// chunks the same way.
+inline constexpr std::size_t kScanChunk = 16;
+
 /// Single LSTM cell. Gate layout along the 4h output rows: input i,
 /// forget f, candidate g, output o (rows [0,h), [h,2h), [2h,3h), [3h,4h)).
 class LstmCell {
  public:
-  /// One direction's frozen scan over a sequence: the two GEMV plans of
-  /// the cell plus planner slots for the gate pre-activations and the
-  /// h/c state. Built by plan_scan(); the Lstm/BiLstm module steps
-  /// replay it (reverse scans run t = T-1 .. 0).
+  /// One direction's frozen scan over a sequence: the input-projection
+  /// chunk plans (kScanChunk frames wide, plus the last chunk's width),
+  /// the recurrent GEMV plan, and planner slots for one chunk's gate
+  /// input projections (4h x widest chunk), the recurrent
+  /// pre-activations and the h/c state. Built by plan_scan(); the
+  /// Lstm/BiLstm module steps replay it (reverse scans run
+  /// t = T-1 .. 0, chunks last to first).
   class ScanPlan {
    public:
     ScanPlan() = default;
@@ -30,17 +44,26 @@ class LstmCell {
     /// while the owning module's step runs).
     void release(ModulePlanContext& mpc) const;
 
-    /// x: in x T -> y: h x T, through the frozen GEMV plans and the
-    /// same apply_gates() tail as the eager step; the gate bias and the
-    /// input projection ride the recurrent GEMV's epilogue.
+    /// x: in x T -> y: h x T, through the frozen plans and the same
+    /// apply_gates() tail as the eager scan; per chunk, one GEMM
+    /// projects the chunk's frames, then each frame's column of it rides
+    /// the recurrent GEMV's epilogue as the residual, after the gate
+    /// bias.
     void run(float* base, ConstMatrixView x, MatrixView y,
              bool reverse) const;
 
    private:
     friend class LstmCell;
+    [[nodiscard]] const LinearPlan& wx_for(std::size_t width) const noexcept {
+      return width == kScanChunk ? wx_chunk_ : wx_tail_;
+    }
+
     const LstmCell* cell_ = nullptr;
-    LinearPlan wx_, wh_;
-    ModelSlot sgx_, sgh_;  // 4h x 1 gate pre-activations
+    LinearPlan wx_chunk_;  // kScanChunk-frame chunks
+    LinearPlan wx_tail_;   // a last chunk of any other width
+    LinearPlan wh_;
+    ModelSlot sgx_;        // 4h x widest chunk: input projections
+    ModelSlot sgh_;        // 4h x 1 recurrent pre-activations
     ModelSlot sh_, sc_;    // h x 1 hidden / cell state
   };
 
@@ -56,7 +79,8 @@ class LstmCell {
   }
 
   /// One time step: consumes x_t (length in), updates h and c (length h)
-  /// in place.
+  /// in place. (Sequence scans — Lstm::forward and the planned
+  /// ScanPlan — project their input in kScanChunk-frame chunks instead.)
   void step(const float* x_t, float* h, float* c) const;
 
   /// Combines the two projections into the gate pre-activations, in
@@ -78,9 +102,10 @@ class LstmCell {
     return bias_;
   }
 
-  /// Freezes one direction's scan: acquires the gate/state slots and
-  /// both GEMV plans (batch 1). The slots are left LIVE — the caller
-  /// releases via ScanPlan::release() once dependent layouts are done.
+  /// Freezes one direction's scan over mpc.batch() frames: acquires the
+  /// gate/state slots, the input-projection chunk plans and the
+  /// recurrent GEMV plan. The slots are left LIVE — the caller releases
+  /// via ScanPlan::release() once dependent layouts are done.
   [[nodiscard]] ScanPlan plan_scan(ModulePlanContext& mpc) const;
 
  private:
@@ -106,7 +131,8 @@ class Lstm final : public PlannableModule {
   [[nodiscard]] const LstmCell& cell() const noexcept { return cell_; }
 
   /// PlannableModule: the frozen step is one cell scan (internal slots:
-  /// gate pre-activations + h/c state, reused across all T steps).
+  /// one chunk's input projections, the recurrent pre-activations and
+  /// the h/c state, reused across all T steps).
   [[nodiscard]] std::size_t in_rows() const noexcept override {
     return cell_.input_size();
   }
@@ -130,8 +156,8 @@ class BiLstm final : public PlannableModule {
 
   /// PlannableModule: two cell scans run sequentially, so the backward
   /// scan's slots reuse the forward scan's released storage — the arena
-  /// is one scan's gate and state slots, whatever the frame count. Each
-  /// scan's input projection builds its own per-frame artifact.
+  /// is one scan's chunk, gate and state slots, bounded by the chunk
+  /// width whatever the frame count.
   [[nodiscard]] std::size_t in_rows() const noexcept override {
     return fw_.cell().input_size();
   }

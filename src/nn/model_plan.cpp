@@ -6,14 +6,15 @@
 
 namespace biq::nn {
 
-/// The compiled recipe: shape metadata, the packed arena block, and the
-/// module tree's frozen root step.
+/// The compiled recipe: shape metadata, the arena layout's size, and
+/// the module tree's frozen root step. The arena itself is the
+/// context's shared model block, attached for the plan's lifetime.
 struct ModelPlan::Impl {
   Impl(std::size_t batch, std::size_t in_rows, std::size_t out_rows,
        ExecContext& ctx) noexcept
       : batch(batch), in_rows(in_rows), out_rows(out_rows), ctx(&ctx) {}
   ~Impl() {
-    if (base != nullptr) ctx->free_model_block(base);
+    if (attached) ctx->detach_model_plan();
   }
   Impl(const Impl&) = delete;
   Impl& operator=(const Impl&) = delete;
@@ -23,7 +24,7 @@ struct ModelPlan::Impl {
   std::size_t out_rows;
   std::size_t arena_floats = 0;
   std::size_t unpacked_floats = 0;
-  float* base = nullptr;
+  bool attached = false;
   ExecContext* ctx;
   std::unique_ptr<ModuleStep> step;
 };
@@ -35,16 +36,16 @@ ModelPlan::ModelPlan(const PlannableModule& module, std::size_t batch,
   impl_ = std::make_unique<Impl>(batch, in_rows, out.rows, ctx);
 
   // The one generic compile path: the module tree lays out its own
-  // GemmPlans and activation slots; the plan allocates the packed
-  // high-water mark once — the only plan-time heap cost of the layout.
+  // GemmPlans and activation slots; the context's shared block grows to
+  // the packed high-water mark if it is smaller — the only plan-time
+  // heap cost of the layout.
   ModelPlanner planner;
   ModulePlanContext mpc(planner, ctx, batch);
   impl_->step = module.plan_into(mpc);
   impl_->arena_floats = planner.peak_floats();
   impl_->unpacked_floats = planner.total_acquired_floats();
-  if (impl_->arena_floats != 0) {
-    impl_->base = ctx.alloc_model_block(impl_->arena_floats);
-  }
+  ctx.attach_model_plan(impl_->arena_floats);
+  impl_->attached = true;
 }
 
 ModelPlan::~ModelPlan() = default;
@@ -64,7 +65,7 @@ void ModelPlan::run(ConstMatrixView x, MatrixView y) const {
         ", y " + std::to_string(impl_->out_rows) + "x" +
         std::to_string(impl_->batch));
   }
-  impl_->step->run_step(impl_->base, x, y);
+  impl_->step->run_step(impl_->ctx->model_block(), x, y);
 }
 
 std::size_t ModelPlan::batch() const noexcept { return impl_->batch; }

@@ -17,10 +17,12 @@
 //   * run(x, y) executes the frozen program with ZERO heap allocations
 //     once warm — the serving hot path for fixed-shape traffic.
 //
-// The arena block itself comes from ExecContext::alloc_model_block(),
-// sized at plan time and returned by the plan's destructor — block
-// lifetime equals plan lifetime, so plans coexist freely and
-// batch-varying replan traffic never grows the context unboundedly.
+// The arena is the ExecContext's one shared model block
+// (ExecContext::attach_model_plan): every plan compiled on a context
+// runs on the same block, grown at plan time to the largest plan's
+// arena, so a context holding plans for many batch widths pays for the
+// largest arena once, not for each plan. run() reads the block's base
+// at run time; the last plan to go releases it.
 #pragma once
 
 #include <cstddef>
@@ -41,7 +43,8 @@ namespace biq::nn {
 /// perform zero heap allocations. The plan borrows the module and the
 /// context (both must outlive it) and owns its projections' GemmPlans
 /// plus the activation arena layout; one caller may run it at a time
-/// (it owns the context's scratch and its arena slots while running).
+/// (it owns the context's scratch and the context's model block while
+/// running — which is why plans on one context never run concurrently).
 /// Re-compile when the batch width or the context change.
 class ModelPlan {
  public:
@@ -92,9 +95,9 @@ class ModelPlan {
 /// alternates between a few widths (a server answering bucket-padded
 /// requests) replans NOTHING once every width has been seen. The cache
 /// is LRU-bounded: at most `capacity` plans are live at once — each
-/// holds an activation arena block on the context, so an unbounded
-/// cache would grow the context's footprint with every distinct batch
-/// width ever requested. The default capacity keeps all power-of-two
+/// holds its frozen GemmPlans and keeps the context's shared model block
+/// at least as large as its arena, so an unbounded cache would grow with
+/// every distinct batch width ever requested. The default capacity keeps all power-of-two
 /// buckets up to 128 resident, which is exactly the working set of the
 /// serve PlanPool built on top. A model or context change clears the
 /// cache (plans are only valid for the pair they were compiled for).
@@ -116,8 +119,8 @@ class ModelPlanCache {
   }
 
   /// The plan for `batch`, compiled on first use and cached. When the
-  /// cache is full the least-recently-used plan is evicted (its arena
-  /// block returns to the context).
+  /// cache is full the least-recently-used plan is evicted (it detaches
+  /// from the context's model block).
   [[nodiscard]] const ModelPlan& plan_for(const Model& model,
                                           std::size_t batch,
                                           ExecContext& ctx) {

@@ -86,8 +86,8 @@ class ModelPlanner {
   /// (coalesced with neighbors) and may back later acquires.
   void release(const Slot& slot);
 
-  /// High-water mark of the packed layout, in floats — the arena block
-  /// size the compiled plan allocates.
+  /// High-water mark of the packed layout, in floats — the arena size
+  /// the compiled plan needs from its context's model block.
   [[nodiscard]] std::size_t peak_floats() const noexcept { return end_; }
 
   /// Sum of every acquire()'s extent — what the layout would cost
@@ -162,7 +162,7 @@ class ModulePlanContext {
 
 /// One module's frozen forward: held GemmPlans plus arena slots, replayed
 /// with zero planning and zero heap allocations once the engines' scratch
-/// is warm. `base` is the compiled plan's arena block (slot views resolve
+/// is warm. `base` is the context's shared model block (slot views resolve
 /// against it on the stack); x / y are the module's input / output
 /// activations — arena slots or caller buffers, the step cannot tell.
 class ModuleStep {

@@ -85,9 +85,9 @@ class PlanPool {
           in(in_rows, max_bucket),
           out(out_rows, max_bucket) {}
 
-    // Declaration order is the teardown contract: plans (and their
-    // arena blocks) die before the ctx they bind to, the ctx before
-    // the pool it borrows.
+    // Declaration order is the teardown contract: plans (attached to
+    // the ctx's model block) die before the ctx they bind to, the ctx
+    // before the pool it borrows.
     std::unique_ptr<ThreadPool> pool;
     ExecContext ctx;
     nn::ModelPlanCache<nn::PlannableModule> plans;

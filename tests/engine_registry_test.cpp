@@ -379,9 +379,9 @@ TEST(Dispatch, UnavailablePlaneThrowsInsteadOfCrashing) {
 TEST(Dispatch, PlanTilesLanesComeFromDispatchedPlane) {
   BiqGemmOptions opt;
   const std::size_t lanes = engine::select_kernels(opt.isa).query_lanes;
-  EXPECT_EQ(plan_tiles(128, 64, opt).lanes, lanes);
-  EXPECT_EQ(plan_tiles(128, 3, opt).lanes, 3u);   // clamped to batch
-  EXPECT_EQ(plan_tiles(128, 1, opt).lanes, 1u);
+  // Never clamped to the batch: partial batch tiles are padded.
+  EXPECT_EQ(plan_tiles(128, opt).lanes, lanes);
+  EXPECT_EQ(plan_tiles(128, opt, 16).lanes, 16u);
 }
 
 TEST(Dispatch, ScalarAndAvx2PlanesAreBitwiseConsistent) {
@@ -445,7 +445,7 @@ TEST(Dispatch, OneBinaryServesBothPlanesWithConsistentResults) {
   }
 
   // Outputs agree to rounding (the avx2 query fuses multiply-add) on the
-  // batched path, the partial-tile path, and the GEMV path.
+  // batched path, a padded partial tile, and the GEMV path.
   for (const std::size_t b : {std::size_t{1}, std::size_t{5}, std::size_t{16}}) {
     Matrix x = Matrix::random_normal(72, b, rng);
     Matrix y_scalar(80, b), y_avx2(80, b);
@@ -486,7 +486,7 @@ TEST(Dispatch, ScalarAndAvx512PlanesAreBitwiseConsistent) {
                         lut_scalar.size() * sizeof(float)),
             0);
 
-  // Engine outputs across the 16-lane batched path, a partial tile and
+  // Engine outputs across the 16-lane batched path, a padded tile and
   // the GEMV path agree with the scalar plane to rounding.
   const Matrix w = Matrix::random_normal(72, 64, rng);
   const BinaryCodes codes = quantize(w, 2, QuantMethod::kGreedy);

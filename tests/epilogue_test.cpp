@@ -10,6 +10,7 @@
 // shape error contracts.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstring>
 #include <memory>
 #include <string>
@@ -398,20 +399,21 @@ TEST(EpilogueContract, ResidualMustNotAliasOutput) {
 
 // apply_interleaved is the LUT engines' merged de-interleave write-back:
 // for every bias/act/residual combo it must equal a plain de-interleave
-// copy followed by apply() over the same region — bitwise.
+// copy of the real columns followed by apply() over the same region —
+// bitwise — and a padded tile's pad lanes must never reach y.
 TEST(EpilogueContract, ApplyInterleavedMatchesCopyThenApply) {
-  constexpr std::size_t m = 23, batch = 11, lanes = 4, c0 = 3;
+  constexpr std::size_t m = 23, batch = 11, lanes = 8, cols = 5, c0 = 3;
   Rng rng(0xA11);
   const Matrix res = Matrix::random_normal(m, batch, rng);
   const Matrix raw = Matrix::random_normal(m, batch, rng);
   std::vector<float> bias(m);
   for (std::size_t i = 0; i < m; ++i) bias[i] = 0.1f * static_cast<float>(i);
 
-  // The interleaved accumulator block for columns [c0, c0 + lanes):
-  // tile[i * lanes + lane] = raw(i, c0 + lane).
-  std::vector<float> tile(m * lanes);
+  // The interleaved accumulator block for columns [c0, c0 + cols):
+  // tile[i * lanes + lane] = raw(i, c0 + lane); pad lanes hold NaN.
+  std::vector<float> tile(m * lanes, std::nanf(""));
   for (std::size_t i = 0; i < m; ++i) {
-    for (std::size_t lane = 0; lane < lanes; ++lane) {
+    for (std::size_t lane = 0; lane < cols; ++lane) {
       tile[i * lanes + lane] = raw(i, c0 + lane);
     }
   }
@@ -425,14 +427,14 @@ TEST(EpilogueContract, ApplyInterleavedMatchesCopyThenApply) {
     const EpilogueOp op(ep, res.view());
 
     Matrix got(m, batch, /*zero_fill=*/true);
-    op.apply_interleaved(got.view(), tile.data(), m, lanes, c0);
+    op.apply_interleaved(got.view(), tile.data(), m, lanes, c0, cols);
 
     Matrix want(m, batch, /*zero_fill=*/true);
-    for (std::size_t lane = 0; lane < lanes; ++lane) {
+    for (std::size_t lane = 0; lane < cols; ++lane) {
       float* yc = want.view().col(c0 + lane);
       for (std::size_t i = 0; i < m; ++i) yc[i] = tile[i * lanes + lane];
     }
-    op.apply(want.view(), 0, m, c0, c0 + lanes);
+    op.apply(want.view(), 0, m, c0, c0 + cols);
 
     expect_bitwise(got, want, combo.name);
   }

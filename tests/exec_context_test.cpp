@@ -101,27 +101,29 @@ TEST(ScratchArena, GrowsAcrossFramesAndRestabilizes) {
   EXPECT_EQ(arena.heap_allocations(), after_growth);
 }
 
-TEST(ExecContext, ModelBlocksAreStableAndFreedIndividually) {
-  // The model-block API behind nn::ModelPlan: blocks are stable while
-  // others come and go, and freeing returns exactly that block's bytes.
+TEST(ExecContext, ModelBlockIsTheMaxOfAttachedPlansAndGoesWithTheLast) {
+  // The shared model block behind nn::ModelPlan: attaching grows it to
+  // the largest request (max, not sum), a smaller plan leaves it as is,
+  // and it is released when the last plan detaches.
   ExecContext ctx;
   EXPECT_EQ(ctx.model_block_bytes(), 0u);
-  float* a = ctx.alloc_model_block(100);
-  float* b = ctx.alloc_model_block(200);
-  ASSERT_NE(a, nullptr);
-  ASSERT_NE(b, nullptr);
-  a[99] = 1.0f;
-  b[199] = 2.0f;
-  EXPECT_EQ(ctx.model_block_bytes(), 300 * sizeof(float));
-  ctx.free_model_block(a);
+  EXPECT_EQ(ctx.model_block(), nullptr);
+  ctx.attach_model_plan(100);
+  EXPECT_EQ(ctx.model_block_bytes(), 100 * sizeof(float));
+  ctx.attach_model_plan(200);
   EXPECT_EQ(ctx.model_block_bytes(), 200 * sizeof(float));
-  EXPECT_FLOAT_EQ(b[199], 2.0f);  // surviving block did not move
-  float* c = ctx.alloc_model_block(50);
-  c[49] = 3.0f;
-  EXPECT_FLOAT_EQ(b[199], 2.0f);
-  ctx.free_model_block(b);
-  ctx.free_model_block(c);
+  ctx.attach_model_plan(50);
+  EXPECT_EQ(ctx.model_block_bytes(), 200 * sizeof(float));
+  ASSERT_NE(ctx.model_block(), nullptr);
+  ctx.model_block()[199] = 1.0f;  // the whole block is usable
+  ctx.attach_model_plan(0);       // a plan without an arena still counts
+  ctx.detach_model_plan();
+  ctx.detach_model_plan();
+  ctx.detach_model_plan();
+  EXPECT_EQ(ctx.model_block_bytes(), 200 * sizeof(float));
+  ctx.detach_model_plan();
   EXPECT_EQ(ctx.model_block_bytes(), 0u);
+  EXPECT_EQ(ctx.model_block(), nullptr);
 }
 
 // ------------------------------------------------------------- partitioner

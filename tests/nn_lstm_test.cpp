@@ -178,27 +178,58 @@ TEST(Lstm, ModuleInterfaceShapes) {
 
 TEST(Lstm, ScanPlanReplaysTheEagerScan) {
   // The cell's frozen scan (the piece Lstm/BiLstm module steps replay)
-  // is bitwise identical to the eager sequence walk, both directions.
-  const std::size_t in = 10, hidden = 6, frames = 5;
-  ExecContext ctx;
-  const Lstm lstm(make_lstm_cell(in, hidden, 9, {}, &ctx));
-  Rng rng(5);
+  // is bitwise identical to the eager sequence walk, both directions, at
+  // frame counts whose input-projection chunks end in every shape: one
+  // chunk (1, 5), a 1-frame tail joined into a 17-frame chunk (17, 33),
+  // and 2- and 15-frame last chunks (18, 31).
+  const std::size_t in = 10, hidden = 6;
+  QuantSpec q2;
+  q2.weight_bits = 2;
+  for (const QuantSpec& spec : {QuantSpec{}, q2}) {
+    ExecContext ctx;
+    const Lstm lstm(make_lstm_cell(in, hidden, 9, spec, &ctx));
+    for (const std::size_t frames : {1u, 5u, 17u, 18u, 31u, 33u}) {
+      Rng rng(5 + frames);
+      const Matrix x = Matrix::random_normal(in, frames, rng);
+
+      ModelPlanner planner;
+      ModulePlanContext mpc(planner, ctx, frames);
+      const LstmCell::ScanPlan scan = lstm.cell().plan_scan(mpc);
+      scan.release(mpc);
+      std::vector<float> arena(planner.peak_floats(), 0.0f);
+
+      Matrix eager(hidden, frames), planned(hidden, frames);
+      lstm.forward(x, eager);
+      scan.run(arena.data(), x, planned, /*reverse=*/false);
+      EXPECT_EQ(max_abs_diff(planned, eager), 0.0f)
+          << "bits=" << spec.weight_bits << " frames=" << frames;
+
+      lstm.forward_reverse(x, eager);
+      scan.run(arena.data(), x, planned, /*reverse=*/true);
+      EXPECT_EQ(max_abs_diff(planned, eager), 0.0f)
+          << "bits=" << spec.weight_bits << " frames=" << frames
+          << " reverse";
+    }
+  }
+}
+
+TEST(Lstm, ChunkedScanTracksThePerFrameStep) {
+  // The chunked input projection computes the same recurrence as the
+  // single-frame step (only the projection's batch width differs), so a
+  // multi-chunk scan stays within fp32 rounding of step-by-step walking.
+  const std::size_t in = 10, hidden = 6, frames = 35;
+  const Lstm lstm(make_lstm_cell(in, hidden, 9, {}));
+  Rng rng(8);
   const Matrix x = Matrix::random_normal(in, frames, rng);
-
-  ModelPlanner planner;
-  ModulePlanContext mpc(planner, ctx, frames);
-  const LstmCell::ScanPlan scan = lstm.cell().plan_scan(mpc);
-  scan.release(mpc);
-  std::vector<float> arena(planner.peak_floats(), 0.0f);
-
-  Matrix eager(hidden, frames), planned(hidden, frames);
-  lstm.forward(x, eager);
-  scan.run(arena.data(), x, planned, /*reverse=*/false);
-  EXPECT_EQ(max_abs_diff(planned, eager), 0.0f);
-
-  lstm.forward_reverse(x, eager);
-  scan.run(arena.data(), x, planned, /*reverse=*/true);
-  EXPECT_EQ(max_abs_diff(planned, eager), 0.0f);
+  Matrix scanned(hidden, frames);
+  lstm.forward(x, scanned);
+  std::vector<float> h(hidden, 0.0f), c(hidden, 0.0f);
+  for (std::size_t t = 0; t < frames; ++t) {
+    lstm.cell().step(x.col(t), h.data(), c.data());
+    for (std::size_t i = 0; i < hidden; ++i) {
+      EXPECT_NEAR(scanned(i, t), h[i], 1e-5f) << "t=" << t << " i=" << i;
+    }
+  }
 }
 
 }  // namespace

@@ -192,27 +192,32 @@ TEST(ModelPlan, EncoderPlannedMatchesEagerBitwise) {
 }
 
 TEST(ModelPlan, BiLstmPlannedMatchesEagerBitwise) {
-  const std::size_t in = 12, hidden = 8, frames = 7;
-  Rng rng(4);
-  const Matrix audio = Matrix::random_normal(in, frames, rng);
+  // Frame counts cover one chunk (1, 7), a 1-frame tail joined into a
+  // 17-frame chunk (17) and multi-chunk scans with 2- and 15-frame last
+  // chunks (34, 47): both paths cut the same chunks.
+  const std::size_t in = 12, hidden = 8;
   ThreadPool pool(3);
-  for (const bool quantized : {false, true}) {
-    for (const bool pooled : {false, true}) {
-      ExecContext ctx(pooled ? &pool : nullptr);
-      const QuantSpec spec = quantized ? quant2() : QuantSpec{};
-      const BiLstm model(make_lstm_cell(in, hidden, 31, spec, &ctx),
-                         make_lstm_cell(in, hidden, 32, spec, &ctx));
+  for (const std::size_t frames : {1u, 7u, 17u, 34u, 47u}) {
+    Rng rng(4 + frames);
+    const Matrix audio = Matrix::random_normal(in, frames, rng);
+    for (const bool quantized : {false, true}) {
+      for (const bool pooled : {false, true}) {
+        ExecContext ctx(pooled ? &pool : nullptr);
+        const QuantSpec spec = quantized ? quant2() : QuantSpec{};
+        const BiLstm model(make_lstm_cell(in, hidden, 31, spec, &ctx),
+                           make_lstm_cell(in, hidden, 32, spec, &ctx));
 
-      Matrix eager(2 * hidden, frames);
-      model.forward(audio, eager);
+        Matrix eager(2 * hidden, frames);
+        model.forward(audio, eager);
 
-      const ModelPlan plan(model, frames, ctx);
-      EXPECT_EQ(plan.output_rows(), 2 * hidden);
-      Matrix planned(2 * hidden, frames);
-      plan.run(audio, planned);
-      EXPECT_EQ(max_abs_diff(planned, eager), 0.0f)
-          << (quantized ? "quantized" : "fp32")
-          << (pooled ? " pooled" : " serial");
+        const ModelPlan plan(model, frames, ctx);
+        EXPECT_EQ(plan.output_rows(), 2 * hidden);
+        Matrix planned(2 * hidden, frames);
+        plan.run(audio, planned);
+        EXPECT_EQ(max_abs_diff(planned, eager), 0.0f)
+            << (quantized ? "quantized" : "fp32")
+            << (pooled ? " pooled" : " serial") << " frames=" << frames;
+      }
     }
   }
 }
@@ -299,18 +304,26 @@ TEST(ModelPlan, QuantizedEncoderPacksToItsFp32TwinsArena) {
 TEST(ModelPlan, BiLstmArenaIsOneScansSlotsAtAnyFrameCount) {
   // The two directional scans run one after the other, so the backward
   // scan reuses the forward scan's storage: the arena is one scan's
-  // gate pre-activations (2 x 4h) and h/c state (2 x h), whatever the
-  // frame count, for fp32 and quantized weights alike.
+  // chunk slot (4h x the widest input-projection chunk: the frame count
+  // up to 17, then 16 — or 17 when a 1-frame tail joins the last
+  // chunk), its recurrent pre-activations (4h) and h/c state (2 x h),
+  // bounded whatever the frame count, for fp32 and quantized weights
+  // alike.
   const std::size_t in = 12, hidden = 8;
-  const std::size_t scan = 2 * aligned(4 * hidden) + 2 * aligned(hidden);
+  const auto scan = [&](std::size_t widest) {
+    return aligned(4 * hidden * widest) + aligned(4 * hidden) +
+           2 * aligned(hidden);
+  };
+  const std::pair<std::size_t, std::size_t> cases[] = {
+      {1, 1}, {7, 7}, {16, 16}, {17, 17}, {18, 16}, {33, 17}, {50, 16}};
   for (const bool quantized : {false, true}) {
     ExecContext ctx;
     const QuantSpec spec = quantized ? quant2() : QuantSpec{};
     const BiLstm model(make_lstm_cell(in, hidden, 31, spec, &ctx),
                        make_lstm_cell(in, hidden, 32, spec, &ctx));
-    for (const std::size_t frames : {1u, 7u, 50u}) {
+    for (const auto& [frames, widest] : cases) {
       const ModelPlan plan(model, frames, ctx);
-      EXPECT_EQ(plan.arena_floats(), scan)
+      EXPECT_EQ(plan.arena_floats(), scan(widest))
           << (quantized ? "quantized" : "fp32") << " frames=" << frames;
     }
   }
@@ -429,27 +442,65 @@ TEST(ModelPlan, LivenessPackingBeatsUnpackedLayout) {
   EXPECT_EQ(plan.arena_bytes(), plan.arena_floats() * sizeof(float));
 }
 
-TEST(ModelPlan, CoexistingPlansUseDisjointArenaBlocks) {
-  // Two plans compiled on one context must not alias each other's
-  // activation slots (one model block per plan).
-  ExecContext ctx;
-  const TransformerEncoder enc = make_encoder(tiny(), 77, quant2(), &ctx);
-  const ModelPlan plan_a(enc, 4, ctx);
-  const ModelPlan plan_b(enc, 4, ctx);
-  Rng rng(9);
-  const Matrix x = Matrix::random_normal(32, 4, rng);
-  Matrix ya(32, 4), yb(32, 4);
-  plan_a.run(x, ya);
-  plan_b.run(x, yb);  // must not corrupt plan_a's state
-  Matrix ya2(32, 4);
-  plan_a.run(x, ya2);
-  EXPECT_EQ(max_abs_diff(ya, ya2), 0.0f);
-  EXPECT_EQ(max_abs_diff(ya, yb), 0.0f);
+/// Runs `make_model(ctx)`'s plans for two batch widths interleaved on ONE
+/// context — the smaller compiled first, so the larger one grows the
+/// shared block under it — and checks every run against the same plan
+/// compiled alone on its own context.
+template <typename MakeModel>
+void expect_interleaved_plans_match_solo(MakeModel make_model,
+                                         std::size_t small, std::size_t large,
+                                         std::uint64_t seed) {
+  ExecContext ctx, solo_small_ctx, solo_large_ctx;
+  const auto model = make_model(ctx);
+  const std::size_t in = model.in_rows();
+  const std::size_t out = model.out_shape({in, 1}).rows;
+  Rng rng(seed);
+  const Matrix xs = Matrix::random_normal(in, small, rng);
+  const Matrix xl = Matrix::random_normal(in, large, rng);
+
+  Matrix want_small(out, small), want_large(out, large);
+  ModelPlan(model, small, solo_small_ctx).run(xs, want_small);
+  ModelPlan(model, large, solo_large_ctx).run(xl, want_large);
+
+  const ModelPlan plan_small(model, small, ctx);
+  Matrix got(out, small);
+  plan_small.run(xs, got);
+  EXPECT_EQ(max_abs_diff(got, want_small), 0.0f) << "before growth";
+  const std::size_t before = ctx.model_block_bytes();
+
+  const ModelPlan plan_large(model, large, ctx);
+  EXPECT_GT(ctx.model_block_bytes(), before);
+  EXPECT_EQ(ctx.model_block_bytes(),
+            std::max(plan_small.arena_bytes(), plan_large.arena_bytes()));
+  Matrix got_large(out, large);
+  for (int rep = 0; rep < 2; ++rep) {
+    plan_small.run(xs, got);  // the block moved under the earlier plan
+    EXPECT_EQ(max_abs_diff(got, want_small), 0.0f) << "rep " << rep;
+    plan_large.run(xl, got_large);
+    EXPECT_EQ(max_abs_diff(got_large, want_large), 0.0f) << "rep " << rep;
+  }
 }
 
-TEST(ModelPlan, DestroyedPlansReturnTheirArenaBlocks) {
-  // Block lifetime equals plan lifetime: replanning on shape changes
-  // must not grow the context's model-block footprint unboundedly.
+TEST(ModelPlan, InterleavedPlansOnOneContextMatchPlansOnTheirOwn) {
+  // Every plan on a context runs on its one shared model block: a later,
+  // larger plan grows it, and runs of either plan, interleaved, equal
+  // that plan run alone on its own context — a plan's arena carries
+  // nothing between runs.
+  expect_interleaved_plans_match_solo(
+      [](ExecContext& ctx) { return make_encoder(tiny(), 77, quant2(), &ctx); },
+      4, 12, 9);
+  expect_interleaved_plans_match_solo(
+      [](ExecContext& ctx) {
+        return BiLstm(make_lstm_cell(12, 8, 31, quant2(), &ctx),
+                      make_lstm_cell(12, 8, 32, quant2(), &ctx));
+      },
+      5, 40, 10);
+}
+
+TEST(ModelPlan, PlansShareOneBlockSizedToTheLargestArena) {
+  // The context's model block is the max of its plans' arenas, not
+  // their sum, and goes with the last plan: replanning on shape changes
+  // never grows the footprint past the largest plan.
   ExecContext ctx;
   const TransformerEncoder enc = make_encoder(tiny(), 5, {}, &ctx);
   EXPECT_EQ(ctx.model_block_bytes(), 0u);
@@ -457,14 +508,17 @@ TEST(ModelPlan, DestroyedPlansReturnTheirArenaBlocks) {
     const ModelPlan plan_a(enc, 4, ctx);
     EXPECT_EQ(ctx.model_block_bytes(), plan_a.arena_bytes());
     const ModelPlan plan_b(enc, 9, ctx);
-    EXPECT_EQ(ctx.model_block_bytes(),
-              plan_a.arena_bytes() + plan_b.arena_bytes());
+    ASSERT_GT(plan_b.arena_bytes(), plan_a.arena_bytes());
+    EXPECT_EQ(ctx.model_block_bytes(), plan_b.arena_bytes());
+    const ModelPlan plan_c(enc, 2, ctx);
+    EXPECT_EQ(ctx.model_block_bytes(), plan_b.arena_bytes());
   }
   EXPECT_EQ(ctx.model_block_bytes(), 0u);
 
-  // LRU cache, capacity 1: every batch flip evicts (and frees) the
-  // previous plan, so the flip sequence ends with exactly one live
-  // block — the old single-plan cache behavior as the degenerate case.
+  // LRU cache, capacity 1: every batch flip evicts the previous plan
+  // (the last one on the context, so the block goes with it) before the
+  // next compiles, so the flip sequence ends with a block sized to the
+  // one live plan.
   ModelPlanCache<TransformerEncoder> cache(1);
   Rng rng(15);
   for (const std::size_t tokens : {4u, 9u, 4u, 9u, 4u}) {
@@ -479,7 +533,7 @@ TEST(ModelPlan, DestroyedPlansReturnTheirArenaBlocks) {
 TEST(ModelPlanCache, KeepsAPlanPerBatchWidthUpToCapacity) {
   // The default capacity retains every width seen so far: batch flips
   // stop replanning once each width's plan exists, and the context's
-  // footprint is the sum of the cached plans — bounded by capacity.
+  // footprint is the largest cached plan's arena.
   ExecContext ctx;
   const TransformerEncoder enc = make_encoder(tiny(), 5, {}, &ctx);
   ModelPlanCache<TransformerEncoder> cache;
@@ -496,7 +550,7 @@ TEST(ModelPlanCache, KeepsAPlanPerBatchWidthUpToCapacity) {
   const ModelPlan& plan9 = cache.plan_for(enc, 9, ctx);
   EXPECT_EQ(cache.size(), 2u);  // a hit, not a third plan
   EXPECT_EQ(ctx.model_block_bytes(),
-            plan4->arena_bytes() + plan9.arena_bytes());
+            std::max(plan4->arena_bytes(), plan9.arena_bytes()));
   // Re-requesting a cached width serves the identical plan object.
   EXPECT_EQ(&cache.plan_for(enc, 4, ctx), plan4);
 }
@@ -513,12 +567,13 @@ TEST(ModelPlanCache, EvictsTheLeastRecentlyUsedPlanAtCapacity) {
   EXPECT_EQ(&cache.plan_for(enc, 3, ctx), plan3);
   const ModelPlan* plan7 = &cache.plan_for(enc, 7, ctx);
   EXPECT_EQ(cache.size(), 2u);
-  // Batch 3 must have survived (identical object); batch 5 was evicted,
-  // its arena block freed — the footprint is exactly the two survivors.
+  // Batch 3 must have survived (identical object); batch 5 was evicted.
+  // The shared block is the largest arena attached while plans lived —
+  // batch 7's, the largest of the three.
   EXPECT_EQ(&cache.plan_for(enc, 3, ctx), plan3);
   EXPECT_EQ(cache.size(), 2u);
-  EXPECT_EQ(ctx.model_block_bytes(),
-            plan3->arena_bytes() + plan7->arena_bytes());
+  EXPECT_EQ(ctx.model_block_bytes(), plan7->arena_bytes());
+  EXPECT_GT(plan7->arena_bytes(), plan3->arena_bytes());
   (void)plan5;  // dangling after eviction; only its identity mattered
 }
 
@@ -544,24 +599,30 @@ TEST(ModelPlan, WarmEncoderForwardPerformsZeroHeapAllocations) {
 }
 
 TEST(ModelPlan, WarmBiLstmForwardPerformsZeroHeapAllocations) {
-  const std::size_t in = 24, hidden = 16, frames = 6;
-  ExecContext ctx;
-  const BiLstm model(make_lstm_cell(in, hidden, 61, quant2(), &ctx),
-                     make_lstm_cell(in, hidden, 62, quant2(), &ctx));
-  Rng rng(11);
-  const Matrix x = Matrix::random_normal(in, frames, rng);
-  Matrix y(2 * hidden, frames);
+  // 6 frames: one input-projection chunk; 33 frames: a 16-frame chunk
+  // and a 17-frame one, two chunk plans per scan.
+  const std::size_t in = 24, hidden = 16;
+  for (const std::size_t frames : {6u, 33u}) {
+    ExecContext ctx;
+    const BiLstm model(make_lstm_cell(in, hidden, 61, quant2(), &ctx),
+                       make_lstm_cell(in, hidden, 62, quant2(), &ctx));
+    Rng rng(11);
+    const Matrix x = Matrix::random_normal(in, frames, rng);
+    Matrix y(2 * hidden, frames);
 
-  const ModelPlan plan(model, frames, ctx);
-  plan.run(x, y);
-  plan.run(x, y);
-  const std::size_t arena_warm = ctx.scratch_heap_allocations();
-  const std::size_t new_warm = g_new_calls.load();
-  for (int rep = 0; rep < 8; ++rep) plan.run(x, y);
-  EXPECT_EQ(ctx.scratch_heap_allocations(), arena_warm)
-      << "warm BiLSTM ModelPlan::run grew a scratch arena";
-  EXPECT_EQ(g_new_calls.load(), new_warm)
-      << "warm BiLSTM ModelPlan::run allocated on the heap";
+    const ModelPlan plan(model, frames, ctx);
+    plan.run(x, y);
+    plan.run(x, y);
+    const std::size_t arena_warm = ctx.scratch_heap_allocations();
+    const std::size_t new_warm = g_new_calls.load();
+    for (int rep = 0; rep < 8; ++rep) plan.run(x, y);
+    EXPECT_EQ(ctx.scratch_heap_allocations(), arena_warm)
+        << "warm BiLSTM ModelPlan::run grew a scratch arena, frames="
+        << frames;
+    EXPECT_EQ(g_new_calls.load(), new_warm)
+        << "warm BiLSTM ModelPlan::run allocated on the heap, frames="
+        << frames;
+  }
 }
 
 // ------------------------------------- hybrid / stacked module trees
